@@ -31,6 +31,7 @@ from .errors import (
     ParseError,
     UnsupportedArgumentError,
 )
+from .output import TOOL_VERSION as __version__
 from .paradox import (
     UNBOUNDED,
     LimitSweepRow,
@@ -72,5 +73,3 @@ from .units import (
     natural_units,
     parse_length,
 )
-
-__version__ = "0.1.0"

@@ -8,6 +8,7 @@ envelope, one CSV table, or one text report per run.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -56,6 +57,11 @@ def _parse_gap(text: str, config: RunConfig, flag: str = "gap") -> float:
         return parse_length(text).value
     except DomainError:
         raise DomainError(f"{flag} must be positive, got '{text}'")
+
+
+def _require_finite(value: float | None, flag: str) -> None:
+    if value is not None and not math.isfinite(value):
+        raise DomainError(f"{flag} must be finite, got {value!r}")
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -211,6 +217,7 @@ def cmd_cutoff(args, config: RunConfig) -> OutputEnvelope:
 def cmd_paradox(args, config: RunConfig) -> OutputEnvelope:
     constants = _constants_for(config)
     L_i = _parse_gap(args.Li, config, flag="Li")
+    _require_finite(args.Pi, "Pi")
     if args.situation == "one":
         P_i = args.Pi if args.Pi is not None else 0.0
         result = paradox.situation_one(L_i, P_i, constants)
@@ -242,6 +249,7 @@ def cmd_paradox(args, config: RunConfig) -> OutputEnvelope:
 
 def cmd_crossover(args, config: RunConfig) -> OutputEnvelope:
     constants = _constants_for(config)
+    _require_finite(args.rho, "rho")
     closed = paradox.cosmological_crossover(args.rho, constants)
     bisected = paradox.crossover_by_bisection(args.rho, constants)
     return OutputEnvelope(

@@ -6,16 +6,33 @@ format every float with exactly ``precision`` significant digits, with a
 ``.`` decimal separator regardless of locale.  Nothing time- or
 environment-dependent is ever written, so identical invocations produce
 byte-identical output.
+
+JSON is written by a small emitter of its own whose output is byte-identical
+to ``json.dumps(envelope.to_dict(), indent=2) + "\n"``: floats through
+``float.__repr__`` (``NaN``/``Infinity``/``-Infinity`` when not finite),
+ints through ``int.__repr__``, strings through the stdlib's
+``encode_basestring_ascii``, enums as their values and the unbounded
+sentinel as ``"infinity"``; dict keys must be strings.  It reads the
+envelope's fields in place rather than copying them through
+:meth:`OutputEnvelope.to_dict`.  A list of dicts that all share one key
+order, such as a ``rows`` table, is formatted column by column: each column
+in one pass (``float.__repr__`` over an all-finite float column,
+``int.__repr__`` over an all-int one), then each row through one ``%``
+template built for that key order.  The stdlib encoder cannot be used
+directly for speed, because with ``indent`` set it always falls back to its
+pure-Python path.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
+import math
 import os
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import DomainError, ParseError
@@ -171,7 +188,98 @@ class OutputEnvelope:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        """``json.dumps(self.to_dict(), indent=2) + "\\n"``, byte for byte."""
+        return _encode({
+            "command": self.command,
+            "inputs": self.inputs,
+            "results": self.results,
+            "metadata": self.metadata,
+        }, "") + "\n"
+
+
+_INDENT = "  "
+
+
+def _key(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+    return encode_basestring_ascii(key)
+
+
+def _encode(obj, indent: str) -> str:
+    """JSON text of ``obj`` as ``json.dumps(_jsonable(obj), indent=2)`` writes it.
+
+    ``indent`` is the indentation of the line on which ``obj`` starts.
+    """
+    if isinstance(obj, Enum):
+        obj = obj.value
+    elif isinstance(obj, Unbounded):
+        return '"infinity"'
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj == math.inf:
+            return "Infinity"
+        if obj == -math.inf:
+            return "-Infinity"
+        return float.__repr__(obj)
+    inner = indent + _INDENT
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = _row_table(obj, inner)
+        if items is None:
+            items = [_encode(item, inner) for item in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{\n" + ",\n".join(
+            inner + _key(key) + ": " + _encode(value, inner)
+            for key, value in obj.items()) + "\n" + indent + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _row_table(rows, indent: str):
+    """Rows as JSON texts, column by column, if all are dicts of one key order.
+
+    Returns ``None`` for any other list; ``indent`` is each row's own.
+    """
+    if set(map(type, rows)) != {dict}:
+        return None
+    shapes = set(map(tuple, rows))
+    if len(shapes) != 1:
+        return None
+    (keys,) = shapes
+    if not keys:
+        return None
+    inner = indent + _INDENT
+    template = "{\n" + ",\n".join(
+        inner + _key(key).replace("%", "%%") + ": %s" for key in keys
+    ) + "\n" + indent + "}"
+    columns = [_column(list(map(itemgetter(key), rows)), inner) for key in keys]
+    return map(template.__mod__, zip(*columns))
+
+
+def _column(values: list, indent: str):
+    """JSON texts of one column's values, in one pass where the types allow."""
+    kinds = set(map(type, values))
+    # A sum of floats is finite only if every term is.
+    if kinds == {float} and math.isfinite(sum(values)):
+        return map(float.__repr__, values)
+    if kinds == {int}:
+        return map(int.__repr__, values)
+    return [_encode(value, indent) for value in values]
 
 
 def make_metadata(constants_source: str, sign_convention: str) -> dict:

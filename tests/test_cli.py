@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from casimir_kit.cli import main
+from casimir_kit.cli import _HANDLERS, build_parser, main
+from casimir_kit.output import RunConfig
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -41,6 +42,19 @@ def run_json(argv, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 0, err
     return json.loads(out)
+
+
+def _bit_equal(a, b) -> bool:
+    """Equal JSON values, floats compared bit for bit, key order included."""
+    if isinstance(b, float):
+        return isinstance(a, float) and a.hex() == b.hex()
+    if isinstance(b, dict):
+        return (isinstance(a, dict) and list(a) == list(b)
+                and all(_bit_equal(a[key], b[key]) for key in b))
+    if isinstance(b, list):
+        return (isinstance(a, list) and len(a) == len(b)
+                and all(map(_bit_equal, a, b)))
+    return type(a) is type(b) and a == b
 
 
 class TestEnergyCommand:
@@ -211,6 +225,14 @@ class TestParadoxCommand:
                                 "--Pi", "1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("pressure", ["inf", "nan"])
+    def test_non_finite_inside_pressure_rejected(self, pressure, capsys):
+        code, out, err = run_cli(["paradox", "--Li", "1um", "--situation", "one",
+                                  "--Pi", pressure], capsys)
+        assert code == 2
+        assert out == ""
+        assert "Pi must be finite" in err
+
 
 class TestCrossoverCommand:
     def test_reference_density(self, capsys):
@@ -228,6 +250,13 @@ class TestCrossoverCommand:
     def test_zero_density_rejected(self, capsys):
         code, _, err = run_cli(["crossover", "--rho", "0"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("rho", ["inf", "nan"])
+    def test_non_finite_density_rejected(self, rho, capsys):
+        code, out, err = run_cli(["crossover", "--rho", rho], capsys)
+        assert code == 2
+        assert out == ""
+        assert "rho must be finite" in err
 
 
 class TestSweepCommand:
@@ -372,6 +401,24 @@ class TestDeterminism:
         parsed = json.loads(out)
         assert json.dumps(parsed, indent=2) + "\n" == out
         assert set(parsed) == {"command", "inputs", "results", "metadata"}
+
+    @pytest.mark.parametrize("argv", [
+        ["modes", "--gap", "1um", "--n-max", "10000"],
+        ["sweep", "--quantity", "force", "--min", "10nm", "--max", "100um",
+         "--count", "10000"],
+        ["sweep", "--quantity", "energy", "--min", "10nm", "--max", "100um",
+         "--count", "10000", "--scale", "linear"],
+    ], ids=["modes", "sweep-log", "sweep-linear"])
+    def test_large_json_tables(self, argv, capsys):
+        # The goldens' row tables are tiny; this covers the column-wise path.
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        parsed = json.loads(out)
+        assert json.dumps(parsed, indent=2) + "\n" == out
+        envelope = _HANDLERS[argv[0]](build_parser().parse_args(argv), RunConfig())
+        expected = envelope.to_dict()
+        assert len(parsed["results"]["rows"]) == 10000
+        assert _bit_equal(parsed, expected)
 
     def test_console_entry_point(self):
         # The module entry point must behave like the in-process call.

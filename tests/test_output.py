@@ -1,9 +1,13 @@
 import json
+from enum import Enum, IntEnum
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import casimir_kit
 from casimir_kit.errors import DomainError, ParseError
 from casimir_kit.output import (
+    TOOL_VERSION,
     OutputEnvelope,
     OutputFormat,
     RunConfig,
@@ -16,7 +20,7 @@ from casimir_kit.output import (
     render_text,
     resolve_config,
 )
-from casimir_kit.paradox import UNBOUNDED
+from casimir_kit.paradox import UNBOUNDED, ScenarioClassification
 
 
 class TestRunConfig:
@@ -144,3 +148,93 @@ class TestEnvelope:
             envelope, RunConfig(output_format=OutputFormat.CSV)).startswith("n,value")
         assert render_envelope(
             envelope, RunConfig(output_format=OutputFormat.TEXT)).startswith("command:")
+
+
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Scale(Enum):
+    MILLI = 1e-3
+    UNIT = 1.0
+
+
+_KEYS = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "%", "%s", "%%", "\x00\x1f\x7f", "\u00e9",
+                     "\u2028", "\U0001f600", "n"]),
+)
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0,
+                     5e-324, -2.2250738585072014e-308, 1e308, 1.7976931348623157e308]),
+)
+_INTS = st.one_of(st.integers(), st.integers(min_value=-10**300, max_value=10**300))
+_SCALARS = st.one_of(
+    _FLOATS, _INTS, st.booleans(), st.none(), _KEYS,
+    st.sampled_from([UnitSystem.NATURAL, OutputFormat.CSV,
+                     ScenarioClassification.DIVERGING_OUTSIDE, _Level.HIGH,
+                     _Scale.MILLI, UNBOUNDED]),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, children, max_size=4),
+    ),
+    max_leaves=12,
+)
+_COLUMN_KINDS = st.sampled_from([
+    st.floats(allow_nan=False, allow_infinity=False),
+    _FLOATS,
+    _INTS,
+    st.one_of(st.integers(), st.floats()),
+    st.one_of(st.booleans(), st.integers()),
+    st.one_of(st.floats(), st.none()),
+    _VALUES,
+])
+
+
+@st.composite
+def _row_tables(draw):
+    keys = draw(st.lists(_KEYS, min_size=1, max_size=4, unique=True))
+    count = draw(st.integers(min_value=1, max_value=6))
+    columns = [draw(st.lists(draw(_COLUMN_KINDS), min_size=count, max_size=count))
+               for _ in keys]
+    rows = [dict(zip(keys, values)) for values in zip(*columns)]
+    if draw(st.booleans()):
+        orders = draw(st.lists(st.permutations(keys), min_size=count, max_size=count))
+        rows = [{key: row[key] for key in order} for row, order in zip(rows, orders)]
+    return rows
+
+
+@st.composite
+def _envelopes(draw):
+    results = draw(st.dictionaries(_KEYS, _VALUES, max_size=4))
+    if draw(st.booleans()):
+        results["rows"] = draw(_row_tables())
+    if draw(st.booleans()):  # row tables nested one and two levels deeper
+        results["tables"] = [draw(_row_tables()), [], {}, [draw(_row_tables())]]
+    return OutputEnvelope(
+        command=draw(_KEYS),
+        inputs=draw(st.dictionaries(_KEYS, _VALUES, max_size=4)),
+        results=results,
+        metadata=draw(st.dictionaries(_KEYS, _VALUES, max_size=3)),
+    )
+
+
+class TestJsonEmitter:
+    @settings(max_examples=200, deadline=None)
+    @given(_envelopes())
+    def test_matches_stdlib_indent_2(self, envelope):
+        assert envelope.to_json() == json.dumps(envelope.to_dict(), indent=2) + "\n"
+
+    def test_non_str_keys_rejected(self):
+        with pytest.raises(TypeError):
+            OutputEnvelope(command="x", inputs={1: 2}, results={}).to_json()
+
+
+def test_version_has_one_source():
+    assert casimir_kit.__version__ == TOOL_VERSION

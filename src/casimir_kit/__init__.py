@@ -25,7 +25,6 @@ from .core import (
 )
 from .errors import (
     CasimirKitError,
-    DimensionError,
     DomainError,
     ImplausibleGapWarning,
     ParseError,
@@ -49,12 +48,10 @@ from .paradox import (
 )
 from .series import (
     CutoffTrace,
-    PartialSumTrace,
     SeriesEstimate,
     SummationMethod,
     TailBracket,
     cutoff_regularized_value,
-    cutoff_sum_direct,
     direct_sum_estimate,
     euler_maclaurin_sum,
     exponential_cutoff_finite_part,
@@ -65,9 +62,7 @@ from .series import (
 )
 from .units import (
     ConstantsSource,
-    Dimension,
     PhysicalConstants,
-    Quantity,
     codata_constants,
     custom_constants,
     natural_units,

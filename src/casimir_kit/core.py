@@ -27,10 +27,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import DomainError, ImplausibleGapWarning
-from .series import partial_sum_inverse_powers, tail_bound, zeta_even_closed_form
+from .series import (
+    partial_sum_inverse_powers,
+    positive_int,
+    tail_bound,
+    zeta_even_closed_form,
+)
 from .units import ConstantsSource, PhysicalConstants, codata_constants
 
 __all__ = [
@@ -40,6 +43,7 @@ __all__ = [
     "EnergyDensityResult",
     "ConvergenceRow",
     "DEFAULT_SERIES_TERMS",
+    "MAX_ROWS",
     "traversal_time",
     "mode_state",
     "per_state_energy_flux",
@@ -55,8 +59,15 @@ __all__ = [
 # 10-digit display precision, at negligible cost.
 DEFAULT_SERIES_TERMS = 1000
 
+# Most modes or gaps one table may hold; a million `modes` rows are about
+# 230 MB of JSON.
+MAX_ROWS = 10 ** 6
+
 _GAP_HARD_RANGE = (1e-12, 1.0)
 _GAP_PLAUSIBLE_RANGE = (1e-9, 1e-3)
+# Every printed quantity (k_n, p_n, delta_x, A_n up to n = MAX_ROWS, energies,
+# forces, truncation bounds) stays finite and nonzero across this range.
+_NATURAL_GAP_RANGE = (1e-30, 1e30)
 
 
 class SignConvention(str, Enum):
@@ -68,10 +79,11 @@ class SignConvention(str, Enum):
 class PlateGap:
     """Separation between the plates plus the constants to evaluate with.
 
-    With CODATA constants the gap must lie in [1e-12, 1] m, and values
-    outside [1e-9, 1e-3] m trigger :class:`ImplausibleGapWarning` (the
-    formulas are scale-free; the warning flags implausible regimes without
-    blocking desk experiments).  Natural and custom constants skip the
+    The gap must be positive and finite.  With CODATA constants it must lie
+    in [1e-12, 1] m, and values outside [1e-9, 1e-3] m trigger
+    :class:`ImplausibleGapWarning` (the formulas are scale-free; the warning
+    flags implausible regimes without blocking desk experiments).  In
+    natural units it must lie in [1e-30, 1e30].  Custom constants have no
     range policy.
     """
 
@@ -79,9 +91,8 @@ class PlateGap:
     constants: PhysicalConstants = field(default_factory=codata_constants)
 
     def __post_init__(self) -> None:
-        if not self.a > 0.0:
-            raise DomainError(f"plate gap must be positive, got {self.a!r}")
-        if self.constants.source_tag is ConstantsSource.CODATA:
+        source = self.constants.source_tag
+        if source is ConstantsSource.CODATA:
             lo, hi = _GAP_HARD_RANGE
             if not lo <= self.a <= hi:
                 raise DomainError(
@@ -93,6 +104,15 @@ class PlateGap:
                     f"plate gap {self.a} m is outside the plausible range "
                     f"[{plo}, {phi}] m",
                     ImplausibleGapWarning, stacklevel=3)
+        elif source is ConstantsSource.NATURAL:
+            lo, hi = _NATURAL_GAP_RANGE
+            if not lo <= self.a <= hi:
+                raise DomainError(
+                    f"plate gap {self.a!r} is outside the supported "
+                    f"natural-unit range [{lo}, {hi}]")
+        elif not 0.0 < self.a < math.inf:
+            raise DomainError(
+                f"plate gap must be positive and finite, got {self.a!r}")
 
 
 @dataclass(frozen=True)
@@ -107,11 +127,6 @@ class ModeState:
     area_n: float
     t: float
 
-    @property
-    def side_length(self) -> float:
-        """Side of the state's square area (kept derived so it cannot drift)."""
-        return math.sqrt(self.area_n)
-
 
 def traversal_time(gap: PlateGap) -> float:
     """Light-crossing time of the gap, ``t = a / c``."""
@@ -120,9 +135,7 @@ def traversal_time(gap: PlateGap) -> float:
 
 def mode_state(n: int, gap: PlateGap) -> ModeState:
     """Populate every per-state quantity for mode index n >= 1."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"mode index must be a positive integer, got {n!r}")
-    n = int(n)
+    n = positive_int(n, "mode index")
     a = gap.a
     hbar = gap.constants.hbar
     k_n = n * math.pi / a
@@ -286,6 +299,7 @@ def divergent_area_terms(gap: PlateGap, n_max: int) -> tuple[float, ...]:
 
 
 def _require_mode_count(n_max: int) -> int:
-    if not isinstance(n_max, (int, np.integer)) or isinstance(n_max, bool) or n_max < 1:
-        raise DomainError(f"mode count must be a positive integer, got {n_max!r}")
-    return int(n_max)
+    n_max = positive_int(n_max, "mode count")
+    if n_max > MAX_ROWS:
+        raise DomainError(f"mode count must be at most {MAX_ROWS}, got {n_max}")
+    return n_max

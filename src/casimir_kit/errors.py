@@ -17,9 +17,5 @@ class UnsupportedArgumentError(DomainError):
     """An argument is syntactically valid but outside the supported set."""
 
 
-class DimensionError(CasimirKitError, TypeError):
-    """Quantity arithmetic attempted between incompatible dimensions."""
-
-
 class ImplausibleGapWarning(UserWarning):
     """Plate gap is valid but outside the physically plausible SI range."""

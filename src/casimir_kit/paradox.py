@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 from .core import PlateGap, force_per_area
 from .errors import DomainError
@@ -81,16 +81,11 @@ class ScenarioInput:
     """
 
     L_i: float
-    L_o: Union[float, Unbounded] = UNBOUNDED
     inside_pressure: float | None = None
 
     def __post_init__(self) -> None:
         if not self.L_i > 0.0:
             raise DomainError(f"inside distance must be positive, got {self.L_i!r}")
-        if not isinstance(self.L_o, Unbounded):
-            if not self.L_o > self.L_i:
-                raise DomainError(
-                    "a finite outside distance must exceed the gap")
         if self.inside_pressure is not None and self.inside_pressure < 0.0:
             raise DomainError(
                 f"fixed inside pressure must be nonnegative, got "

@@ -27,7 +27,6 @@ __all__ = [
     "SummationMethod",
     "SeriesEstimate",
     "TailBracket",
-    "PartialSumTrace",
     "CutoffTrace",
     "partial_sum_inverse_powers",
     "direct_sum_estimate",
@@ -36,7 +35,6 @@ __all__ = [
     "euler_maclaurin_sum",
     "richardson_extrapolate",
     "cutoff_regularized_value",
-    "cutoff_sum_direct",
     "exponential_cutoff_finite_part",
 ]
 
@@ -59,11 +57,14 @@ _PI_RATIONAL = Fraction(
     3141592653589793238462643383279502884197169399375105820974944592,
     10 ** 63)
 
+# Largest term count N accepted here.  A partial sum of 10**7 terms holds
+# 80 MB of float64 terms plus 320 MB of the Python floats that fsum reads.
+MAX_TERMS = 10 ** 7
+
 
 class SummationMethod(str, Enum):
     DIRECT = "direct"
     EULER_MACLAURIN = "euler_maclaurin"
-    RICHARDSON = "richardson"
     CLOSED_FORM = "closed_form"
     CUTOFF_EXTRAPOLATION = "cutoff_extrapolation"
 
@@ -95,31 +96,6 @@ class SeriesEstimate:
 class TailBracket(NamedTuple):
     lower: float
     upper: float
-
-
-@dataclass(frozen=True)
-class PartialSumTrace:
-    """Partial sums S_N of ``sum n^-s`` at increasing truncation points."""
-
-    exponent: float
-    rows: tuple[tuple[int, float], ...]
-
-    def __post_init__(self) -> None:
-        if not self.exponent > 1.0:
-            raise DomainError("exponent must exceed 1 for a convergent trace")
-        if not self.rows:
-            raise DomainError("trace requires at least one row")
-        ns = [n for n, _ in self.rows]
-        sums = [s for _, s in self.rows]
-        if ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
-            raise DomainError("truncation points must be strictly increasing")
-        if any(b <= a for a, b in zip(sums, sums[1:])):
-            raise DomainError("partial sums of positive terms must increase")
-
-    @classmethod
-    def compute(cls, s: float, Ns: Sequence[int]) -> "PartialSumTrace":
-        rows = tuple((int(N), partial_sum_inverse_powers(s, N)) for N in Ns)
-        return cls(exponent=float(s), rows=rows)
 
 
 @dataclass(frozen=True)
@@ -159,12 +135,19 @@ def _require_convergent_exponent(s: float) -> float:
     return s
 
 
-def _require_positive_terms(N: int) -> int:
-    if not isinstance(N, (int, np.integer)) or isinstance(N, bool):
-        raise DomainError(f"term count must be a positive integer, got {N!r}")
-    if N < 1:
-        raise DomainError(f"term count must be at least 1, got {N}")
-    return int(N)
+def positive_int(value, name: str, error: type[DomainError] = DomainError) -> int:
+    """``value`` as an int if it is a non-bool int or numpy integer >= 1."""
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or value < 1):
+        raise error(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _require_term_count(N: int) -> int:
+    N = positive_int(N, "term count")
+    if N > MAX_TERMS:
+        raise DomainError(f"term count must be at most {MAX_TERMS}, got {N}")
+    return N
 
 
 def partial_sum_inverse_powers(s: float, N: int) -> float:
@@ -173,11 +156,13 @@ def partial_sum_inverse_powers(s: float, N: int) -> float:
     Terms are accumulated smallest-first (descending n) through
     :func:`math.fsum`, so the result is the correctly rounded value of the
     exact sum of the floating-point terms and is monotone nondecreasing
-    in N.
+    in N.  Here and in every other function of this module, N must lie in
+    ``[1, MAX_TERMS]``.
     """
     s = _require_convergent_exponent(s)
-    N = _require_positive_terms(N)
-    terms = np.arange(N, 0, -1, dtype=np.float64) ** (-s)
+    N = _require_term_count(N)
+    terms = np.arange(N, 0, -1, dtype=np.float64)
+    terms **= -s  # in place, so that no second N-term array is allocated
     return math.fsum(terms.tolist())
 
 
@@ -188,7 +173,7 @@ def tail_bound(s: float, N: int) -> TailBracket:
     two-sided bound ``1/((s-1)(N+1)^(s-1)) <= zeta(s) - S_N <= 1/((s-1)N^(s-1))``.
     """
     s = _require_convergent_exponent(s)
-    N = _require_positive_terms(N)
+    N = _require_term_count(N)
     lower = 1.0 / ((s - 1.0) * float(N + 1) ** (s - 1.0))
     upper = 1.0 / ((s - 1.0) * float(N) ** (s - 1.0))
     return TailBracket(lower=lower, upper=upper)
@@ -211,8 +196,8 @@ def zeta_even_closed_form(s: int) -> float:
     63-digit rational) and rounded to float once, so the returned double is
     the correctly rounded zeta value.
     """
-    if not isinstance(s, (int, np.integer)) or isinstance(s, bool) or \
-            s % 2 != 0 or s not in BERNOULLI_EVEN:
+    s = positive_int(s, "s", UnsupportedArgumentError)
+    if s not in BERNOULLI_EVEN:
         raise UnsupportedArgumentError(
             f"unsupported argument s={s!r}: expected an even integer in "
             f"{sorted(BERNOULLI_EVEN)}")
@@ -245,7 +230,7 @@ def euler_maclaurin_sum(s: float, N: int, order: int) -> SeriesEstimate:
     the first omitted correction, which is returned as ``error_bound``.
     """
     s = _require_convergent_exponent(s)
-    N = _require_positive_terms(N)
+    N = _require_term_count(N)
     if order not in (0, 1, 2):
         raise DomainError(f"order must be 0, 1, or 2, got {order!r}")
 
@@ -279,8 +264,7 @@ def richardson_extrapolate(rows: Sequence[tuple[float, float]], power: int) -> f
     rows = list(rows)
     if len(rows) < 2:
         raise DomainError("extrapolation requires at least two rows")
-    if not isinstance(power, (int, np.integer)) or isinstance(power, bool) or power < 1:
-        raise DomainError(f"error power must be a positive integer, got {power!r}")
+    power = positive_int(power, "error power")
     steps = [float(h) for h, _ in rows]
     if any(h <= 0.0 for h in steps):
         raise DomainError("step sizes must be positive")
@@ -314,26 +298,6 @@ def cutoff_regularized_value(epsilon: float) -> float:
     one_minus = -math.expm1(-epsilon)  # 1 - e^-eps without cancellation
     g = math.exp(-epsilon) / (one_minus * one_minus)
     return g - 1.0 / (epsilon * epsilon)
-
-
-def cutoff_sum_direct(epsilon: float) -> float:
-    """Direct evaluation of ``g(eps) = sum n e^(-n eps)``, for cross-checking.
-
-    Terms are accumulated until the next one falls below 1e-18 of the
-    running total, then compensated-summed.
-    """
-    epsilon = _require_cutoff(epsilon)
-    terms = []
-    running = 0.0
-    n = 1
-    while True:
-        term = n * math.exp(-n * epsilon)
-        terms.append(term)
-        running += term
-        if term < 1e-18 * running:
-            break
-        n += 1
-    return math.fsum(terms)
 
 
 def exponential_cutoff_finite_part(

@@ -1,13 +1,8 @@
-"""Physical constants, dimension bookkeeping, and length parsing.
+"""Physical constants and length parsing.
 
 Everything downstream consumes hbar and c through :class:`PhysicalConstants`,
 so SI (CODATA 2018) and natural units (hbar = c = 1) share one code path.
 Internal computation is always in SI base units: meters, seconds, joules.
-
-Dimensions are tracked as integer exponents over the (mass, length, time)
-base.  Note that pressure and volumetric energy density carry the same
-exponents (1 Pa = 1 J/m^3); :attr:`Dimension.name` reports "pressure" for
-both.
 """
 
 from __future__ import annotations
@@ -16,29 +11,15 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DimensionError, DomainError, ParseError
+from .errors import DomainError, ParseError
 
 __all__ = [
     "ConstantsSource",
-    "Dimension",
     "PhysicalConstants",
-    "Quantity",
     "codata_constants",
     "custom_constants",
     "natural_units",
     "parse_length",
-    "DIMENSIONLESS",
-    "LENGTH",
-    "TIME",
-    "ENERGY",
-    "MOMENTUM",
-    "WAVENUMBER",
-    "AREA",
-    "ENERGY_PER_AREA",
-    "PRESSURE",
-    "ENERGY_DENSITY",
-    "ACTION",
-    "SPEED",
     "HBAR_SI",
     "C_SI",
 ]
@@ -47,128 +28,6 @@ __all__ = [
 # (h / 2 pi with h exact by the 2019 SI redefinition); c is exact.
 HBAR_SI = 1.054571817e-34  # J s
 C_SI = 299792458.0  # m / s
-
-
-@dataclass(frozen=True)
-class Dimension:
-    """Exponents over the (mass, length, time) base dimensions."""
-
-    mass: int = 0
-    length: int = 0
-    time: int = 0
-
-    def __mul__(self, other: "Dimension") -> "Dimension":
-        if not isinstance(other, Dimension):
-            return NotImplemented
-        return Dimension(self.mass + other.mass, self.length + other.length,
-                         self.time + other.time)
-
-    def __truediv__(self, other: "Dimension") -> "Dimension":
-        if not isinstance(other, Dimension):
-            return NotImplemented
-        return Dimension(self.mass - other.mass, self.length - other.length,
-                         self.time - other.time)
-
-    def __pow__(self, exponent: int) -> "Dimension":
-        if not isinstance(exponent, int):
-            raise DimensionError("dimension exponents must be integers")
-        return Dimension(self.mass * exponent, self.length * exponent,
-                         self.time * exponent)
-
-    @property
-    def name(self) -> str | None:
-        """Canonical name if this composition is a registered dimension."""
-        return _DIMENSION_NAMES.get((self.mass, self.length, self.time))
-
-    def __str__(self) -> str:
-        named = self.name
-        if named is not None:
-            return named
-        return f"M^{self.mass} L^{self.length} T^{self.time}"
-
-
-DIMENSIONLESS = Dimension()
-LENGTH = Dimension(length=1)
-TIME = Dimension(time=1)
-ENERGY = Dimension(mass=1, length=2, time=-2)
-MOMENTUM = Dimension(mass=1, length=1, time=-1)
-WAVENUMBER = Dimension(length=-1)
-AREA = Dimension(length=2)
-ENERGY_PER_AREA = Dimension(mass=1, time=-2)
-PRESSURE = Dimension(mass=1, length=-1, time=-2)
-ENERGY_DENSITY = Dimension(mass=1, length=-1, time=-2)  # J/m^3 == Pa
-ACTION = Dimension(mass=1, length=2, time=-1)
-SPEED = Dimension(length=1, time=-1)
-
-_DIMENSION_NAMES: dict[tuple[int, int, int], str] = {}
-for _name, _dim in [
-    ("dimensionless", DIMENSIONLESS),
-    ("length", LENGTH),
-    ("time", TIME),
-    ("energy", ENERGY),
-    ("momentum", MOMENTUM),
-    ("wavenumber", WAVENUMBER),
-    ("area", AREA),
-    ("energy_per_area", ENERGY_PER_AREA),
-    ("pressure", PRESSURE),
-    ("energy_density", ENERGY_DENSITY),
-    ("action", ACTION),
-    ("speed", SPEED),
-]:
-    _DIMENSION_NAMES.setdefault((_dim.mass, _dim.length, _dim.time), _name)
-
-
-@dataclass(frozen=True)
-class Quantity:
-    """A real value with a tracked dimension.
-
-    Addition and subtraction require equal dimensions; products and
-    quotients compose exponents.  Raising to an integer power scales them.
-    """
-
-    value: float
-    dimension: Dimension = DIMENSIONLESS
-
-    def _require_same_dimension(self, other: "Quantity", op: str) -> None:
-        if self.dimension != other.dimension:
-            raise DimensionError(
-                f"cannot {op} {self.dimension} and {other.dimension}")
-
-    def __add__(self, other: "Quantity") -> "Quantity":
-        if not isinstance(other, Quantity):
-            return NotImplemented
-        self._require_same_dimension(other, "add")
-        return Quantity(self.value + other.value, self.dimension)
-
-    def __sub__(self, other: "Quantity") -> "Quantity":
-        if not isinstance(other, Quantity):
-            return NotImplemented
-        self._require_same_dimension(other, "subtract")
-        return Quantity(self.value - other.value, self.dimension)
-
-    def __mul__(self, other):
-        if isinstance(other, Quantity):
-            return Quantity(self.value * other.value,
-                            self.dimension * other.dimension)
-        if isinstance(other, (int, float)):
-            return Quantity(self.value * other, self.dimension)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Quantity):
-            return Quantity(self.value / other.value,
-                            self.dimension / other.dimension)
-        if isinstance(other, (int, float)):
-            return Quantity(self.value / other, self.dimension)
-        return NotImplemented
-
-    def __pow__(self, exponent: int) -> "Quantity":
-        return Quantity(self.value ** exponent, self.dimension ** exponent)
-
-    def __neg__(self) -> "Quantity":
-        return Quantity(-self.value, self.dimension)
 
 
 class ConstantsSource(str, Enum):
@@ -196,14 +55,6 @@ class PhysicalConstants:
                 self.hbar != 1.0 or self.c != 1.0):
             raise DomainError("natural units require hbar = c = 1 exactly")
 
-    @property
-    def hbar_quantity(self) -> Quantity:
-        return Quantity(self.hbar, ACTION)
-
-    @property
-    def c_quantity(self) -> Quantity:
-        return Quantity(self.c, SPEED)
-
 
 def codata_constants() -> PhysicalConstants:
     """CODATA 2018 values of hbar and c in SI units."""
@@ -211,7 +62,7 @@ def codata_constants() -> PhysicalConstants:
 
 
 def natural_units() -> PhysicalConstants:
-    """hbar = c = 1; dimension bookkeeping is unchanged."""
+    """hbar = c = 1, so lengths and times share one unit."""
     return PhysicalConstants(1.0, 1.0, ConstantsSource.NATURAL)
 
 
@@ -233,7 +84,7 @@ _LENGTH_RE = re.compile(
     r"^\s*([+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)\s*(mm|um|nm|pm|m)\s*$")
 
 
-def parse_length(text: str) -> Quantity:
+def parse_length(text: str) -> float:
     """Parse a length like ``"1um"`` or ``"2.5e-7m"`` into meters.
 
     The suffix set is closed (m, mm, um, nm, pm) and parsing is
@@ -252,4 +103,4 @@ def parse_length(text: str) -> Quantity:
     value = float(number_text) * _METERS_PER_SUFFIX[suffix]
     if value <= 0.0:
         raise DomainError(f"length must be positive, got '{text}'")
-    return Quantity(value, LENGTH)
+    return value

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from casimir_kit.cli import _HANDLERS, build_parser, main
-from casimir_kit.output import RunConfig
+from casimir_kit.cli import _HANDLERS, _build_envelope, build_parser, main
+from casimir_kit.output import RunConfig, make_metadata
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -30,6 +30,30 @@ GOLDEN_CASES = {
     "sweep.csv": ["sweep", "--quantity", "force", "--min", "0.1um",
                   "--max", "10um", "--count", "10", "--format", "csv"],
 }
+
+
+# A minimal valid invocation of every subcommand; "{L}" stands for a length
+# in the unit system under test.
+SUBCOMMAND_ARGV = {
+    "energy": ["--gap", "{L}"],
+    "force": ["--gap", "{L}"],
+    "modes": ["--gap", "{L}", "--n-max", "2"],
+    "converge": ["--gap", "{L}", "--Ns", "1,10"],
+    "zeta": ["--s", "4"],
+    "cutoff": [],
+    "paradox": ["--Li", "{L}", "--situation", "two"],
+    "crossover": ["--rho", "5.26e-10"],
+    "sweep": ["--quantity", "force", "--min", "{L}", "--max", "{L}",
+              "--count", "2"],
+}
+SIGNED_COMMANDS = {"energy", "converge", "sweep"}
+
+
+def subcommand_argv(command, units):
+    length = "1um" if units == "si" else "1"
+    return ([command] + [arg.replace("{L}", length)
+                         for arg in SUBCOMMAND_ARGV[command]]
+            + ["--units", units])
 
 
 def run_cli(argv, capsys):
@@ -134,6 +158,66 @@ class TestModesCommand:
     def test_zero_modes_rejected(self, capsys):
         code, _, err = run_cli(["modes", "--gap", "1um", "--n-max", "0"], capsys)
         assert code == 2
+
+
+class TestEnvelopeMetadata:
+    """Metadata that `_build_envelope` derives for every subcommand."""
+
+    @pytest.mark.parametrize("units,source", [("si", "codata"),
+                                              ("natural", "natural")])
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGV))
+    def test_constants_source_follows_units(self, command, units, source, capsys):
+        payload = run_json(subcommand_argv(command, units), capsys)
+        assert payload["command"] == command
+        assert payload["metadata"] == make_metadata(source, "attractive_negative")
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGV))
+    def test_sign_convention_follows_sign_flag(self, command, capsys):
+        argv = subcommand_argv(command, "si") + ["--sign", "magnitude"]
+        if command in SIGNED_COMMANDS:
+            payload = run_json(argv, capsys)
+            assert payload["metadata"]["sign_convention"] == "magnitude"
+        else:
+            # No --sign to override attractive_negative with.
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGV))
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: casimir-kit {command}")
+
+
+class TestInputLimits:
+    @pytest.mark.parametrize("argv", [
+        ["energy", "--gap", "inf"],
+        ["energy", "--gap", "1e-200"],
+        ["force", "--gap", "1e200"],
+        ["modes", "--gap", "1e-300"],
+    ], ids=["energy-inf", "energy-1e-200", "force-1e200", "modes-1e-300"])
+    def test_natural_gap_outside_range(self, argv, capsys):
+        code, out, err = run_cli(argv + ["--units", "natural"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "plate gap" in err
+
+    # One above each cap: 10**7 series terms, 10**6 table rows.
+    @pytest.mark.parametrize("argv", [
+        ["energy", "--gap", "1um", "--N", "10000001"],
+        ["zeta", "--s", "4", "--N", "10000001"],
+        ["converge", "--gap", "1um", "--Ns", "1,10000001"],
+        ["modes", "--gap", "1um", "--n-max", "1000001"],
+        ["sweep", "--quantity", "force", "--min", "1um", "--max", "2um",
+         "--count", "1000001"],
+    ], ids=["energy-N", "zeta-N", "converge-Ns", "modes-n-max", "sweep-count"])
+    def test_size_above_cap_rejected(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "1000000" in err  # the cap, 10**6 or 10**7, is named
 
 
 class TestConvergeCommand:
@@ -415,16 +499,19 @@ class TestDeterminism:
         assert code == 0, err
         parsed = json.loads(out)
         assert json.dumps(parsed, indent=2) + "\n" == out
-        envelope = _HANDLERS[argv[0]](build_parser().parse_args(argv), RunConfig())
-        expected = envelope.to_dict()
+        args = build_parser().parse_args(argv)
+        inputs, results = _HANDLERS[argv[0]](args, RunConfig())
+        expected = _build_envelope(args, RunConfig(), inputs, results).to_dict()
         assert len(parsed["results"]["rows"]) == 10000
         assert _bit_equal(parsed, expected)
 
     def test_console_entry_point(self):
         # The module entry point must behave like the in-process call.
+        # Run from src/ so that the source tree is importable without an
+        # install or PYTHONPATH.
         proc = subprocess.run(
             [sys.executable, "-m", "casimir_kit", "force", "--gap", "1um"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, cwd=Path(__file__).parents[1] / "src")
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["command"] == "force"

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from casimir_kit.core import (
     DEFAULT_SERIES_TERMS,
+    MAX_ROWS,
     EnergyDensityResult,
     PlateGap,
     SignConvention,
@@ -20,8 +21,8 @@ from casimir_kit.core import (
     traversal_time,
 )
 from casimir_kit.errors import DomainError, ImplausibleGapWarning
-from casimir_kit.series import tail_bound
-from casimir_kit.units import codata_constants, natural_units
+from casimir_kit.series import MAX_TERMS, tail_bound
+from casimir_kit.units import codata_constants, custom_constants, natural_units
 
 NATURAL = natural_units()
 CODATA = codata_constants()
@@ -70,6 +71,34 @@ class TestPlateGap:
             PlateGap(2.0 * math.pi, NATURAL)
             PlateGap(1e5, NATURAL)
 
+    @pytest.mark.parametrize("a", [math.inf, math.nan])
+    @pytest.mark.parametrize("constants", [CODATA, NATURAL,
+                                           custom_constants(2.0, 3.0)],
+                             ids=["codata", "natural", "custom"])
+    def test_non_finite_gap_rejected(self, a, constants):
+        with pytest.raises(DomainError):
+            PlateGap(a, constants)
+
+    @pytest.mark.parametrize("a", [9.9e-31, 1.01e30, 1e-200, 1e200])
+    def test_natural_hard_range(self, a):
+        with pytest.raises(DomainError):
+            PlateGap(a, NATURAL)
+
+    @pytest.mark.parametrize("a", [1e-30, 1e30])
+    def test_natural_range_ends_give_finite_nonzero_values(self, a):
+        gap = natural_gap(a)
+        values = [per_state_energy_flux(gap), force_per_area(gap),
+                  energy_per_area_closed(gap),
+                  energy_per_area_closed(gap) * tail_bound(4, MAX_TERMS).upper]
+        for n in (1, MAX_ROWS):
+            state = mode_state(n, gap)
+            values += [state.k_n, state.p_n, state.delta_x_xy, state.n_z,
+                       state.area_n, state.t]
+        result = energy_per_area_series(gap, 10)
+        values += [result.series_value, result.closed_form_value,
+                   result.truncation_bound]
+        assert all(math.isfinite(v) and v != 0.0 for v in values)
+
 
 class TestTraversalTime:
     def test_natural_unit_gap(self):
@@ -101,11 +130,7 @@ class TestModeState:
         state = mode_state(1, natural_gap(2.0 * math.pi))
         assert state.delta_x_xy == pytest.approx(1.0, rel=1e-15)
 
-    def test_side_length_squares_to_area(self):
-        state = mode_state(3, natural_gap(1.0))
-        assert state.side_length ** 2 == pytest.approx(state.area_n, rel=1e-15)
-
-    @pytest.mark.parametrize("n", [0, -1, 1.5])
+    @pytest.mark.parametrize("n", [0, -1, 1.5, True])
     def test_bad_mode_index_rejected(self, n):
         with pytest.raises(DomainError):
             mode_state(n, natural_gap(1.0))
@@ -304,3 +329,7 @@ class TestDivergentTermViews:
             divergent_energy_terms(natural_gap(1.0), 0)
         with pytest.raises(DomainError):
             divergent_area_terms(natural_gap(1.0), -3)
+        with pytest.raises(DomainError):
+            divergent_energy_terms(natural_gap(1.0), MAX_ROWS + 1)
+        with pytest.raises(DomainError):
+            divergent_area_terms(natural_gap(1.0), MAX_ROWS + 1)

@@ -1,22 +1,23 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import zeta as scipy_zeta
 
 from casimir_kit.errors import DomainError, UnsupportedArgumentError
 from casimir_kit.series import (
+    MAX_TERMS,
     CutoffTrace,
-    PartialSumTrace,
     SeriesEstimate,
     SummationMethod,
     cutoff_regularized_value,
-    cutoff_sum_direct,
     direct_sum_estimate,
     euler_maclaurin_sum,
     exponential_cutoff_finite_part,
     partial_sum_inverse_powers,
+    positive_int,
     richardson_extrapolate,
     tail_bound,
     zeta_even_closed_form,
@@ -31,6 +32,25 @@ def _naive_ascending_sum(s, N):
     for n in range(1, N + 1):
         total += float(n) ** (-s)
     return total
+
+
+def cutoff_sum_direct(epsilon):
+    """Independent oracle for ``g(eps) = sum n e^(-n eps)``, term by term.
+
+    Terms are accumulated until the next one falls below 1e-18 of the
+    running total, then compensated-summed.
+    """
+    terms = []
+    running = 0.0
+    n = 1
+    while True:
+        term = n * math.exp(-n * epsilon)
+        terms.append(term)
+        running += term
+        if term < 1e-18 * running:
+            break
+        n += 1
+    return math.fsum(terms)
 
 
 class TestPartialSums:
@@ -60,12 +80,20 @@ class TestPartialSums:
         with pytest.raises(DomainError):
             partial_sum_inverse_powers(4, N)
 
+    @pytest.mark.parametrize("call", [
+        lambda N: partial_sum_inverse_powers(4, N),
+        lambda N: tail_bound(4, N),
+        lambda N: euler_maclaurin_sum(4, N, 2),
+    ], ids=["partial_sum", "tail_bound", "euler_maclaurin"])
+    def test_term_count_above_cap_rejected(self, call):
+        # Rejected before any term is allocated; the cap itself is not run.
+        with pytest.raises(DomainError, match="term count"):
+            call(MAX_TERMS + 1)
+
     def test_compensated_matches_naive_and_sorted_orders(self):
         # At s = 4, N = 1e6 all reasonable accumulation orders agree: the
         # compensated result equals a sorted-ascending summation to 1e-15
         # relative and differs from naive accumulation by under 1e-12.
-        import numpy as np
-
         N = 10 ** 6
         compensated = partial_sum_inverse_powers(4, N)
         terms = (np.arange(N, 0, -1, dtype=np.float64) ** -4.0)
@@ -73,6 +101,36 @@ class TestPartialSums:
         sorted_ascending = math.fsum(np.sort(terms).tolist())
         assert abs(naive - compensated) / compensated < 1e-12
         assert abs(sorted_ascending - compensated) / compensated < 1e-15
+
+
+class TestPositiveInt:
+    @pytest.mark.parametrize("value", [1, 7, 10 ** 30, np.int64(3), np.uint8(1)])
+    def test_accepted(self, value):
+        result = positive_int(value, "count")
+        assert type(result) is int and result == value
+
+    @pytest.mark.parametrize("value", [0, -1, True, False, 1.0, np.float64(2.0),
+                                       "1", None, np.int32(0)])
+    def test_rejected(self, value):
+        with pytest.raises(DomainError, match="count must be a positive integer"):
+            positive_int(value, "count")
+        with pytest.raises(UnsupportedArgumentError):
+            positive_int(value, "count", UnsupportedArgumentError)
+
+    def test_numpy_integers_accepted_by_callers(self):
+        assert partial_sum_inverse_powers(4, np.int64(2)) == 1.0625
+        assert zeta_even_closed_form(np.int64(4)) == zeta_even_closed_form(4)
+        rows = [(0.2, 1.0), (0.1, 1.1)]
+        assert richardson_extrapolate(rows, np.int64(2)) == \
+            richardson_extrapolate(rows, 2)
+
+    def test_bools_rejected_by_callers(self):
+        with pytest.raises(DomainError, match="term count"):
+            partial_sum_inverse_powers(4, True)
+        with pytest.raises(UnsupportedArgumentError):
+            zeta_even_closed_form(True)
+        with pytest.raises(DomainError, match="error power"):
+            richardson_extrapolate([(0.2, 1.0), (0.1, 1.1)], True)
 
 
 class TestTailBound:
@@ -251,20 +309,6 @@ class TestExponentialCutoff:
 
 
 class TestTraces:
-    def test_partial_sum_trace_compute(self):
-        trace = PartialSumTrace.compute(4.0, [1, 10, 100])
-        assert [n for n, _ in trace.rows] == [1, 10, 100]
-        sums = [s for _, s in trace.rows]
-        assert all(b > a for a, b in zip(sums, sums[1:]))
-
-    def test_partial_sum_trace_validation(self):
-        with pytest.raises(DomainError):
-            PartialSumTrace(exponent=4.0, rows=((10, 1.08), (5, 1.03)))
-        with pytest.raises(DomainError):
-            PartialSumTrace(exponent=1.0, rows=((1, 1.0),))
-        with pytest.raises(DomainError):
-            PartialSumTrace(exponent=4.0, rows=())
-
     def test_cutoff_trace_window_validation(self):
         good = CutoffTrace(rows=((0.1, cutoff_regularized_value(0.1)),))
         assert good.epsilons == (0.1,)

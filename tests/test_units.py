@@ -4,23 +4,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from casimir_kit.errors import DimensionError, DomainError, ParseError
+from casimir_kit.errors import DomainError, ParseError
 from casimir_kit.units import (
-    ACTION,
-    AREA,
-    DIMENSIONLESS,
-    ENERGY,
-    ENERGY_DENSITY,
-    ENERGY_PER_AREA,
-    LENGTH,
-    PRESSURE,
-    SPEED,
-    TIME,
-    WAVENUMBER,
     ConstantsSource,
-    Dimension,
     PhysicalConstants,
-    Quantity,
     codata_constants,
     custom_constants,
     natural_units,
@@ -49,12 +36,6 @@ class TestPhysicalConstants:
         assert constants.hbar * constants.c == 1.0
         assert constants.source_tag is ConstantsSource.NATURAL
 
-    def test_natural_units_keep_dimensions(self):
-        constants = natural_units()
-        product = constants.hbar_quantity * constants.c_quantity
-        assert product.value == 1.0
-        assert product.dimension == ENERGY * LENGTH
-
     def test_custom_constants_tagged(self):
         constants = custom_constants(2.0, 3.0)
         assert constants.source_tag is ConstantsSource.CUSTOM
@@ -73,66 +54,6 @@ class TestPhysicalConstants:
             codata_constants().hbar = 1.0
 
 
-class TestDimensionAlgebra:
-    def test_hbar_c_over_length_cubed_is_energy_per_area(self):
-        constants = codata_constants()
-        length = parse_length("1m")
-        quantity = constants.hbar_quantity * constants.c_quantity / length ** 3
-        assert quantity.dimension == ENERGY_PER_AREA
-
-    def test_hbar_c_over_length_fourth_is_pressure(self):
-        constants = codata_constants()
-        length = parse_length("1m")
-        quantity = constants.hbar_quantity * constants.c_quantity / length ** 4
-        assert quantity.dimension == PRESSURE
-
-    def test_pressure_and_energy_density_coincide(self):
-        # 1 Pa = 1 J/m^3; both names resolve to the same exponents.
-        assert PRESSURE == ENERGY_DENSITY
-        assert (ENERGY / (LENGTH ** 3)) == PRESSURE
-
-    def test_named_compositions(self):
-        assert (LENGTH ** -1) == WAVENUMBER
-        assert LENGTH * LENGTH == AREA
-        assert ACTION / TIME == ENERGY
-        assert ACTION == ENERGY * TIME
-        assert SPEED == LENGTH / TIME
-        assert (LENGTH / LENGTH) == DIMENSIONLESS
-
-    def test_names(self):
-        assert LENGTH.name == "length"
-        assert PRESSURE.name == "pressure"
-        assert str(ENERGY * LENGTH) == "M^1 L^3 T^-2"
-
-    def test_non_integer_power_rejected(self):
-        with pytest.raises(DimensionError):
-            LENGTH ** 0.5
-
-
-class TestQuantityArithmetic:
-    def test_addition_requires_equal_dimensions(self):
-        with pytest.raises(DimensionError):
-            Quantity(1.0, LENGTH) + Quantity(1.0, TIME)
-
-    def test_subtraction_requires_equal_dimensions(self):
-        with pytest.raises(DimensionError):
-            Quantity(1.0, ENERGY) - Quantity(1.0, PRESSURE)
-
-    def test_consistent_arithmetic(self):
-        total = Quantity(1.0, LENGTH) + Quantity(2.0, LENGTH)
-        assert total.value == 3.0
-        assert total.dimension == LENGTH
-        ratio = Quantity(6.0, ENERGY) / Quantity(3.0, AREA)
-        assert ratio.value == 2.0
-        assert ratio.dimension == ENERGY_PER_AREA
-
-    def test_scalar_multiplication(self):
-        doubled = 2.0 * Quantity(1.5, LENGTH)
-        assert doubled.value == 3.0
-        assert doubled.dimension == LENGTH
-        assert (-Quantity(1.0, LENGTH)).value == -1.0
-
-
 class TestParseLength:
     @pytest.mark.parametrize("text,meters", [
         ("1um", 1e-6),
@@ -145,9 +66,9 @@ class TestParseLength:
         ("  1um  ", 1e-6),
     ])
     def test_unit_table(self, text, meters):
-        quantity = parse_length(text)
-        assert quantity.dimension == LENGTH
-        assert quantity.value == pytest.approx(meters, rel=1e-15)
+        value = parse_length(text)
+        assert type(value) is float
+        assert value == pytest.approx(meters, rel=1e-15)
 
     @pytest.mark.parametrize("text", ["-3um", "0m", "-0.1nm"])
     def test_nonpositive_rejected(self, text):
@@ -177,6 +98,6 @@ class TestParseLength:
         rewritten = base_meters / scale[suffix_b]
         if not 1e-300 < rewritten < 1e300:
             return
-        parsed_a = parse_length(f"{value!r}{suffix_a}").value
-        parsed_b = parse_length(f"{rewritten!r}{suffix_b}").value
+        parsed_a = parse_length(f"{value!r}{suffix_a}")
+        parsed_b = parse_length(f"{rewritten!r}{suffix_b}")
         assert parsed_b == pytest.approx(parsed_a, rel=1e-15)

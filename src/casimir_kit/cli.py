@@ -16,11 +16,10 @@ import argparse
 import dataclasses
 import math
 import sys
-
-import numpy as np
+import warnings
 
 from . import core, paradox, series
-from .errors import CasimirKitError, DomainError, ParseError
+from .errors import CasimirKitError, DomainError, ImplausibleGapWarning, ParseError
 from .output import (
     OutputEnvelope,
     RunConfig,
@@ -205,21 +204,30 @@ def cmd_sweep(args, config: RunConfig) -> tuple[dict, dict]:
     count = _require_rows(args.count, "count")
     sign = _SIGN_CHOICES[args.sign]
 
+    # The grids are built as numpy's linspace and geomspace build them.
     if count == 1:
         grid = [lo]
     elif args.scale == "log":
-        grid = np.geomspace(lo, hi, count).tolist()
+        start = math.log10(lo)
+        step = (math.log10(hi) - start) / (count - 1)
+        grid = [lo, *(10.0 ** (i * step + start) for i in range(1, count - 1)), hi]
     else:
-        grid = np.linspace(lo, hi, count).tolist()
+        step = (hi - lo) / (count - 1)
+        grid = [i * step + lo for i in range(count - 1)] + [hi]
 
+    # Grid points lie in [lo, hi] up to rounding, so only the endpoints warn.
+    core.PlateGap(lo, constants)
+    core.PlateGap(hi, constants)
     rows = []
-    for gap_value in grid:
-        gap = core.PlateGap(gap_value, constants)
-        if args.quantity == "force":
-            value = core.force_per_area(gap)
-        else:
-            value = core.energy_per_area_closed(gap, sign)
-        rows.append({"gap_value": gap_value, "value": value})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ImplausibleGapWarning)
+        for gap_value in grid:
+            gap = core.PlateGap(gap_value, constants)
+            if args.quantity == "force":
+                value = core.force_per_area(gap)
+            else:
+                value = core.energy_per_area_closed(gap, sign)
+            rows.append({"gap_value": gap_value, "value": value})
     return {
         "quantity": args.quantity,
         "min": args.min,

@@ -2,12 +2,16 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import mpmath
+import numpy as np
 import pytest
 
 from casimir_kit.cli import _HANDLERS, _build_envelope, build_parser, main
-from casimir_kit.output import RunConfig, make_metadata
+from casimir_kit.errors import ImplausibleGapWarning
+from casimir_kit.output import RunConfig, make_metadata, resolve_config
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -377,6 +381,59 @@ class TestSweepCommand:
         assert [row["gap_value"] for row in rows] == \
             pytest.approx([1e-6, 1.5e-6, 2e-6], rel=1e-12)
 
+    def test_implausible_sweep_warns_at_most_twice(self, capsys):
+        # Every grid point is implausible; only the two endpoints may warn.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["sweep", "--quantity", "force",
+                                      "--min", "0.1mm", "--max", "10mm",
+                                      "--count", "1000", "--format", "csv"],
+                                     capsys)
+        assert code == 0, err
+        assert len(out.splitlines()) == 1001
+        assert sum(issubclass(w.category, ImplausibleGapWarning)
+                   for w in caught) <= 2
+
+    @staticmethod
+    def _grid(argv):
+        args = build_parser().parse_args(["sweep", "--quantity", "force", *argv])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ImplausibleGapWarning)
+            inputs, results = _HANDLERS["sweep"](
+                args, resolve_config(units=args.units))
+        return (inputs["min_value"], inputs["max_value"],
+                [row["gap_value"] for row in results["rows"]])
+
+    @pytest.mark.parametrize("argv", [
+        ["--min", "10nm", "--max", "100um", "--count", "10000"],
+        ["--min", "1um", "--max", "2um", "--count", "3"],
+        ["--min", "0.1mm", "--max", "10mm", "--count", "1000"],
+        ["--min", "1e-20", "--max", "1e20", "--count", "999", "--units", "natural"],
+        ["--min", "1um", "--max", "1um", "--count", "5"],
+        ["--min", "1um", "--max", "2um", "--count", "2"],
+        ["--min", "1um", "--max", "2um", "--count", "1"],
+    ], ids=["wide", "three", "implausible", "natural", "lo-eq-hi", "two", "one"])
+    def test_linear_grid_is_numpy_linspace(self, argv):
+        lo, hi, grid = self._grid(argv + ["--scale", "linear"])
+        expected = np.linspace(lo, hi, len(grid)).tolist()
+        assert [x.hex() for x in grid] == [x.hex() for x in expected]
+
+    @pytest.mark.parametrize("argv", [
+        ["--min", "10nm", "--max", "100um", "--count", "10000"],
+        ["--min", "0.1um", "--max", "10um", "--count", "10"],
+        ["--min", "1pm", "--max", "1m", "--count", "3"],
+        ["--min", "1e-20", "--max", "1e20", "--count", "999", "--units", "natural"],
+        ["--min", "1um", "--max", "2um", "--count", "2"],
+    ], ids=["wide", "golden", "full-range", "natural", "two"])
+    def test_log_grid_within_one_ulp_of_oracle(self, argv):
+        lo, hi, grid = self._grid(argv)
+        assert grid[0] == lo and grid[-1] == hi
+        assert all(a < b for a, b in zip(grid, grid[1:]))
+        exponents = np.linspace(math.log10(lo), math.log10(hi), len(grid)).tolist()
+        with mpmath.workdps(40):
+            for x, y in zip(grid[1:-1], exponents[1:-1]):
+                assert abs(mpmath.mpf(x) - mpmath.power(10, y)) <= math.ulp(x)
+
 
 class TestConfigHandling:
     def test_config_file_flag(self, tmp_path, capsys):
@@ -515,3 +572,12 @@ class TestDeterminism:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["command"] == "force"
+
+    def test_cli_import_leaves_numpy_out(self):
+        # numpy is a test dependency only; the package must not load it.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, casimir_kit.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, cwd=Path(__file__).parents[1] / "src")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"

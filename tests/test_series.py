@@ -102,6 +102,26 @@ class TestPartialSums:
         assert abs(naive - compensated) / compensated < 1e-12
         assert abs(sorted_ascending - compensated) / compensated < 1e-15
 
+    @pytest.mark.parametrize("N", [1, 10, 1000, 10 ** 5, 10 ** 6])
+    @pytest.mark.parametrize("s", [1.5, 2, 4, 6])
+    def test_within_one_ulp_of_hurwitz_oracle(self, s, N):
+        # zeta(s) - zeta(s, N + 1) is the exact N-term sum.
+        with mpmath.workdps(40):
+            exact = mpmath.zeta(s) - mpmath.zeta(s, N + 1)
+            error = abs(mpmath.mpf(partial_sum_inverse_powers(s, N)) - exact)
+        assert error <= math.ulp(float(exact))
+
+    def test_memo_keys_on_validated_arguments(self):
+        reference = partial_sum_inverse_powers(4, 1000)
+        for s, N in [(4.0, 1000), (4, np.int64(1000)), (np.float64(4), 1000)]:
+            value = partial_sum_inverse_powers(s, N)
+            assert type(value) is float and value.hex() == reference.hex()
+        # Equal-valued invalid arguments must not reach the cached (4, 1).
+        assert partial_sum_inverse_powers(4, 1) == 1.0
+        for N in [True, 1.0, MAX_TERMS + 1]:
+            with pytest.raises(DomainError, match="term count"):
+                partial_sum_inverse_powers(4, N)
+
 
 class TestPositiveInt:
     @pytest.mark.parametrize("value", [1, 7, 10 ** 30, np.int64(3), np.uint8(1)])
@@ -110,7 +130,7 @@ class TestPositiveInt:
         assert type(result) is int and result == value
 
     @pytest.mark.parametrize("value", [0, -1, True, False, 1.0, np.float64(2.0),
-                                       "1", None, np.int32(0)])
+                                       "1", None, np.int32(0), np.bool_(True)])
     def test_rejected(self, value):
         with pytest.raises(DomainError, match="count must be a positive integer"):
             positive_int(value, "count")

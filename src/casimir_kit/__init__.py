@@ -32,16 +32,10 @@ from .errors import (
 )
 from .output import TOOL_VERSION as __version__
 from .paradox import (
-    UNBOUNDED,
-    LimitSweepRow,
     ScenarioClassification,
-    ScenarioInput,
     ScenarioResult,
-    Unbounded,
     cosmological_crossover,
     crossover_by_bisection,
-    evaluate_scenario,
-    limit_sweep,
     pressure_difference,
     situation_one,
     situation_two,
@@ -64,7 +58,6 @@ from .units import (
     ConstantsSource,
     PhysicalConstants,
     codata_constants,
-    custom_constants,
     natural_units,
     parse_length,
 )

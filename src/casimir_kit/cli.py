@@ -107,17 +107,7 @@ def cmd_force(args, config: RunConfig) -> tuple[dict, dict]:
 def cmd_modes(args, config: RunConfig) -> tuple[dict, dict]:
     gap, inputs = _gap_object(args, config)
     inputs["n_max"] = _require_rows(args.n_max, "n-max")
-    rows = []
-    for n in range(1, args.n_max + 1):
-        state = core.mode_state(n, gap)
-        rows.append({
-            "n": state.n,
-            "k_n": state.k_n,
-            "p_n": state.p_n,
-            "delta_x_xy": state.delta_x_xy,
-            "n_z": state.n_z,
-            "area_n": state.area_n,
-        })
+    rows = [core.mode_state(n, gap)._asdict() for n in range(1, args.n_max + 1)]
     return inputs, {"traversal_time": core.traversal_time(gap), "rows": rows}
 
 
@@ -177,7 +167,7 @@ def cmd_paradox(args, config: RunConfig) -> tuple[dict, dict]:
     return {
         "Li": args.Li,
         "Li_value": L_i,
-        "L_o": paradox.UNBOUNDED,
+        "L_o": "infinity",
         "situation": args.situation,
         "Pi": args.Pi,
     }, dataclasses.asdict(result)
@@ -185,7 +175,6 @@ def cmd_paradox(args, config: RunConfig) -> tuple[dict, dict]:
 
 def cmd_crossover(args, config: RunConfig) -> tuple[dict, dict]:
     constants = _constants_for(config)
-    _require_finite(args.rho, "rho")
     closed = paradox.cosmological_crossover(args.rho, constants)
     bisected = paradox.crossover_by_bisection(args.rho, constants)
     return {"rho_vac": args.rho}, {
@@ -204,13 +193,16 @@ def cmd_sweep(args, config: RunConfig) -> tuple[dict, dict]:
     count = _require_rows(args.count, "count")
     sign = _SIGN_CHOICES[args.sign]
 
-    # The grids are built as numpy's linspace and geomspace build them.
+    # The grids are built as numpy's linspace and geomspace build them, except
+    # that 10 ** log10(lo) need not round-trip: interior log points are
+    # clamped into [lo, hi], and a point already inside keeps its bits.
     if count == 1:
         grid = [lo]
     elif args.scale == "log":
         start = math.log10(lo)
         step = (math.log10(hi) - start) / (count - 1)
-        grid = [lo, *(10.0 ** (i * step + start) for i in range(1, count - 1)), hi]
+        points = (10.0 ** (i * step + start) for i in range(1, count - 1))
+        grid = [lo, *(min(max(x, lo), hi) for x in points), hi]
     else:
         step = (hi - lo) / (count - 1)
         grid = [i * step + lo for i in range(count - 1)] + [hi]

@@ -83,16 +83,14 @@ class PlateGap:
     in [1e-12, 1] m, and values outside [1e-9, 1e-3] m trigger
     :class:`ImplausibleGapWarning` (the formulas are scale-free; the warning
     flags implausible regimes without blocking desk experiments).  In
-    natural units it must lie in [1e-30, 1e30].  Custom constants have no
-    range policy.
+    natural units it must lie in [1e-30, 1e30].
     """
 
     a: float
     constants: PhysicalConstants = field(default_factory=codata_constants)
 
     def __post_init__(self) -> None:
-        source = self.constants.source_tag
-        if source is ConstantsSource.CODATA:
+        if self.constants.source_tag is ConstantsSource.CODATA:
             lo, hi = _GAP_HARD_RANGE
             if not lo <= self.a <= hi:
                 raise DomainError(
@@ -104,20 +102,20 @@ class PlateGap:
                     f"plate gap {self.a} m is outside the plausible range "
                     f"[{plo}, {phi}] m",
                     ImplausibleGapWarning, stacklevel=3)
-        elif source is ConstantsSource.NATURAL:
+        else:
             lo, hi = _NATURAL_GAP_RANGE
             if not lo <= self.a <= hi:
                 raise DomainError(
                     f"plate gap {self.a!r} is outside the supported "
                     f"natural-unit range [{lo}, {hi}]")
-        elif not 0.0 < self.a < math.inf:
-            raise DomainError(
-                f"plate gap must be positive and finite, got {self.a!r}")
 
 
-@dataclass(frozen=True)
-class ModeState:
-    """All per-state quantities of the n-th standing wave at a given gap."""
+class ModeState(NamedTuple):
+    """All per-state quantities of the n-th standing wave at a given gap.
+
+    The fields are the columns of the ``modes`` table; the light-crossing
+    time is the same for every mode (:func:`traversal_time`).
+    """
 
     n: int
     k_n: float
@@ -125,7 +123,6 @@ class ModeState:
     delta_x_xy: float
     n_z: float
     area_n: float
-    t: float
 
 
 def traversal_time(gap: PlateGap) -> float:
@@ -143,8 +140,7 @@ def mode_state(n: int, gap: PlateGap) -> ModeState:
     delta_x_xy = a / (2.0 * n * math.pi)
     n_z = 1.0 / n
     area_n = 4.0 * float(n) ** 4 * math.pi ** 2 * a * a
-    return ModeState(n=n, k_n=k_n, p_n=p_n, delta_x_xy=delta_x_xy,
-                     n_z=n_z, area_n=area_n, t=traversal_time(gap))
+    return ModeState(n, k_n, p_n, delta_x_xy, n_z, area_n)
 
 
 def per_state_energy_flux(gap: PlateGap) -> float:

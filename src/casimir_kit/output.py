@@ -11,10 +11,9 @@ JSON is written by a small emitter of its own whose output is byte-identical
 to ``json.dumps(envelope.to_dict(), indent=2) + "\n"``: floats through
 ``float.__repr__`` (``NaN``/``Infinity``/``-Infinity`` when not finite),
 ints through ``int.__repr__``, strings through the stdlib's
-``encode_basestring_ascii``, enums as their values and the unbounded
-sentinel as ``"infinity"``; dict keys must be strings.  It reads the
-envelope's fields in place rather than copying them through
-:meth:`OutputEnvelope.to_dict`.  A list of dicts that all share one key
+``encode_basestring_ascii`` and enums as their values; dict keys must be
+strings.  It reads the envelope's fields in place rather than copying them
+through :meth:`OutputEnvelope.to_dict`.  A list of dicts that all share one key
 order, such as a ``rows`` table, is formatted column by column: each column
 in one pass (``float.__repr__`` over an all-finite float column,
 ``int.__repr__`` over an all-int one), then each row through one ``%``
@@ -36,7 +35,6 @@ from operator import itemgetter
 from pathlib import Path
 
 from .errors import DomainError, ParseError
-from .paradox import Unbounded
 
 __all__ = [
     "UnitSystem",
@@ -161,8 +159,6 @@ def format_significant(value: float, digits: int) -> str:
 def _jsonable(obj):
     if isinstance(obj, Enum):
         return obj.value
-    if isinstance(obj, Unbounded):
-        return "infinity"
     if isinstance(obj, dict):
         return {key: _jsonable(val) for key, val in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -213,8 +209,6 @@ def _encode(obj, indent: str) -> str:
     """
     if isinstance(obj, Enum):
         obj = obj.value
-    elif isinstance(obj, Unbounded):
-        return '"infinity"'
     if obj is None:
         return "null"
     if obj is True:
@@ -305,8 +299,6 @@ def _format_cell(value, precision: int) -> str:
         return format_significant(value, precision)
     if isinstance(value, Enum):
         return value.value
-    if isinstance(value, Unbounded):
-        return "infinity"
     return str(value)
 
 

@@ -66,7 +66,6 @@ MAX_TERMS = 10 ** 7
 class SummationMethod(str, Enum):
     DIRECT = "direct"
     EULER_MACLAURIN = "euler_maclaurin"
-    CLOSED_FORM = "closed_form"
     CUTOFF_EXTRAPOLATION = "cutoff_extrapolation"
 
 
@@ -74,8 +73,9 @@ class SummationMethod(str, Enum):
 class SeriesEstimate:
     """A summation result together with how it was obtained.
 
-    ``error_bound`` is an upper bound on ``|estimate - limit|``; it is zero
-    only for closed forms, and ``terms_used`` is zero only for closed forms.
+    ``error_bound`` bounds (or, for cutoff extrapolation, estimates)
+    ``|estimate - limit|``; ``terms_used`` counts the terms or grid points
+    the estimate rests on.
     """
 
     estimate: float
@@ -86,12 +86,8 @@ class SeriesEstimate:
     def __post_init__(self) -> None:
         if not self.error_bound >= 0.0:
             raise DomainError("error_bound must be nonnegative")
-        if self.terms_used < 0:
-            raise DomainError("terms_used must be nonnegative")
-        if (self.terms_used == 0) != (self.method is SummationMethod.CLOSED_FORM):
-            raise DomainError("terms_used = 0 exactly for closed-form results")
-        if self.method is SummationMethod.CLOSED_FORM and self.error_bound != 0.0:
-            raise DomainError("closed-form results carry a zero error bound")
+        if self.terms_used < 1:
+            raise DomainError("terms_used must be at least 1")
 
 
 class TailBracket(NamedTuple):
@@ -123,10 +119,6 @@ class CutoffTrace:
                 raise DomainError(
                     f"regularized value {value!r} at eps={e!r} is outside "
                     "the expected expansion window")
-
-    @property
-    def epsilons(self) -> tuple[float, ...]:
-        return tuple(e for e, _ in self.rows)
 
 
 def _require_convergent_exponent(s: float) -> float:

@@ -17,7 +17,6 @@ __all__ = [
     "ConstantsSource",
     "PhysicalConstants",
     "codata_constants",
-    "custom_constants",
     "natural_units",
     "parse_length",
     "HBAR_SI",
@@ -33,7 +32,6 @@ C_SI = 299792458.0  # m / s
 class ConstantsSource(str, Enum):
     CODATA = "codata"
     NATURAL = "natural"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -64,11 +62,6 @@ def codata_constants() -> PhysicalConstants:
 def natural_units() -> PhysicalConstants:
     """hbar = c = 1, so lengths and times share one unit."""
     return PhysicalConstants(1.0, 1.0, ConstantsSource.NATURAL)
-
-
-def custom_constants(hbar: float, c: float) -> PhysicalConstants:
-    """Caller-supplied constants, tagged as such in every output."""
-    return PhysicalConstants(float(hbar), float(c), ConstantsSource.CUSTOM)
 
 
 _METERS_PER_SUFFIX = {

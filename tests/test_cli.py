@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from casimir_kit.cli import _HANDLERS, _build_envelope, build_parser, main
+from casimir_kit.core import ModeState
 from casimir_kit.errors import ImplausibleGapWarning
 from casimir_kit.output import RunConfig, make_metadata, resolve_config
 
@@ -158,6 +159,15 @@ class TestModesCommand:
         assert code == 0
         header = out.splitlines()[0]
         assert header == "n,k_n,p_n,delta_x_xy,n_z,area_n"
+
+    def test_rows_are_mode_state_records(self, capsys):
+        # The row record and the printed columns are one and the same.
+        assert ModeState._fields == ("n", "k_n", "p_n", "delta_x_xy", "n_z",
+                                     "area_n")
+        code, out, _ = run_cli(["modes", "--gap", "1um", "--n-max", "2",
+                                "--format", "csv"], capsys)
+        assert code == 0
+        assert out.splitlines()[0] == ",".join(ModeState._fields)
 
     def test_zero_modes_rejected(self, capsys):
         code, _, err = run_cli(["modes", "--gap", "1um", "--n-max", "0"], capsys)
@@ -346,6 +356,25 @@ class TestCrossoverCommand:
         assert out == ""
         assert "rho must be finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--rho", "1e300"],
+        ["--rho", "1e-320"],
+        ["--rho", "9.9e-301"],
+        ["--rho", "1.01e250"],
+        ["--rho", "1e-310", "--units", "natural"],
+        ["--rho", "1e306", "--units", "natural"],
+    ])
+    def test_density_outside_range_rejected(self, argv, capsys):
+        code, out, err = run_cli(["crossover", *argv], capsys)
+        assert code == 2, err
+        assert out == ""
+
+    @pytest.mark.parametrize("units", ["si", "natural"])
+    @pytest.mark.parametrize("rho", ["1e-300", "1e250"])
+    def test_density_range_ends_accepted(self, rho, units, capsys):
+        payload = run_json(["crossover", "--rho", rho, "--units", units], capsys)
+        assert payload["results"]["routes_relative_difference"] <= 5e-13
+
 
 class TestSweepCommand:
     def test_log_force_endpoint_ratio(self, capsys):
@@ -433,6 +462,18 @@ class TestSweepCommand:
         with mpmath.workdps(40):
             for x, y in zip(grid[1:-1], exponents[1:-1]):
                 assert abs(mpmath.mpf(x) - mpmath.power(10, y)) <= math.ulp(x)
+
+    @pytest.mark.parametrize("argv", [
+        ["--min", "3um", "--max", "3um", "--count", "4"],
+        ["--min", "0.7um", "--max", "0.7um", "--count", "50"],
+        ["--min", "3e-7", "--max", "3e-7", "--count", "7", "--units", "natural"],
+        ["--min", "3um", "--max", "3.0000000000000004um", "--count", "6"],
+    ], ids=["one-gap", "one-gap-long", "one-gap-natural", "two-floats"])
+    def test_log_grid_stays_in_range(self, argv):
+        lo, hi, grid = self._grid(argv)
+        assert all(lo <= x <= hi for x in grid)
+        if lo == hi:
+            assert grid == [lo] * len(grid)
 
 
 class TestConfigHandling:

@@ -22,7 +22,12 @@ from casimir_kit.core import (
 )
 from casimir_kit.errors import DomainError, ImplausibleGapWarning
 from casimir_kit.series import MAX_TERMS, tail_bound
-from casimir_kit.units import codata_constants, custom_constants, natural_units
+from casimir_kit.units import (
+    ConstantsSource,
+    PhysicalConstants,
+    codata_constants,
+    natural_units,
+)
 
 NATURAL = natural_units()
 CODATA = codata_constants()
@@ -72,9 +77,10 @@ class TestPlateGap:
             PlateGap(1e5, NATURAL)
 
     @pytest.mark.parametrize("a", [math.inf, math.nan])
-    @pytest.mark.parametrize("constants", [CODATA, NATURAL,
-                                           custom_constants(2.0, 3.0)],
-                             ids=["codata", "natural", "custom"])
+    # Constants of any value take the range policy of their tag.
+    @pytest.mark.parametrize("constants", [
+        CODATA, NATURAL, PhysicalConstants(2.0, 3.0, ConstantsSource.CODATA)],
+        ids=["codata", "natural", "custom"])
     def test_non_finite_gap_rejected(self, a, constants):
         with pytest.raises(DomainError):
             PlateGap(a, constants)
@@ -88,12 +94,13 @@ class TestPlateGap:
     def test_natural_range_ends_give_finite_nonzero_values(self, a):
         gap = natural_gap(a)
         values = [per_state_energy_flux(gap), force_per_area(gap),
+                  traversal_time(gap),
                   energy_per_area_closed(gap),
                   energy_per_area_closed(gap) * tail_bound(4, MAX_TERMS).upper]
         for n in (1, MAX_ROWS):
             state = mode_state(n, gap)
             values += [state.k_n, state.p_n, state.delta_x_xy, state.n_z,
-                       state.area_n, state.t]
+                       state.area_n]
         result = energy_per_area_series(gap, 10)
         values += [result.series_value, result.closed_form_value,
                    result.truncation_bound]
@@ -113,13 +120,14 @@ class TestTraversalTime:
 
 class TestModeState:
     def test_first_mode_unit_gap(self):
-        state = mode_state(1, natural_gap(1.0))
+        gap = natural_gap(1.0)
+        state = mode_state(1, gap)
         assert state.k_n == pytest.approx(math.pi, rel=1e-15)
         assert state.p_n == pytest.approx(math.pi, rel=1e-15)
         assert state.delta_x_xy == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-15)
         assert state.n_z == 1.0
         assert state.area_n == pytest.approx(4.0 * math.pi ** 2, rel=1e-15)
-        assert state.t == 1.0
+        assert traversal_time(gap) == 1.0
 
     def test_second_mode_area(self):
         state = mode_state(2, natural_gap(1.0))

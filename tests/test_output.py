@@ -20,7 +20,7 @@ from casimir_kit.output import (
     render_text,
     resolve_config,
 )
-from casimir_kit.paradox import UNBOUNDED, ScenarioClassification
+from casimir_kit.paradox import ScenarioClassification
 
 
 class TestRunConfig:
@@ -101,7 +101,7 @@ class TestEnvelope:
     def _sample(self):
         return OutputEnvelope(
             command="paradox",
-            inputs={"Li": "1um", "Li_value": 1e-6, "L_o": UNBOUNDED, "Pi": None},
+            inputs={"Li": "1um", "Li_value": 1e-6, "L_o": "infinity", "Pi": None},
             results={"P_o": 0.0, "rows": [{"n": 1, "value": 2.5}]},
             metadata=make_metadata("codata", "attractive_negative"),
         )
@@ -175,7 +175,7 @@ _SCALARS = st.one_of(
     _FLOATS, _INTS, st.booleans(), st.none(), _KEYS,
     st.sampled_from([UnitSystem.NATURAL, OutputFormat.CSV,
                      ScenarioClassification.DIVERGING_OUTSIDE, _Level.HIGH,
-                     _Scale.MILLI, UNBOUNDED]),
+                     _Scale.MILLI, "infinity"]),
 )
 _VALUES = st.recursive(
     _SCALARS,

@@ -5,15 +5,10 @@ import pytest
 
 from casimir_kit.errors import DomainError
 from casimir_kit.paradox import (
-    UNBOUNDED,
     ScenarioClassification,
-    ScenarioInput,
     ScenarioResult,
-    Unbounded,
     cosmological_crossover,
     crossover_by_bisection,
-    evaluate_scenario,
-    limit_sweep,
     pressure_difference,
     situation_one,
     situation_two,
@@ -109,63 +104,6 @@ class TestSituationTwo:
                            note="")
 
 
-class TestScenarioInput:
-    def test_unbounded_is_a_singleton(self):
-        assert Unbounded() is UNBOUNDED
-        assert repr(UNBOUNDED) == "Unbounded"
-
-    def test_defaults_to_balanced_unbounded(self):
-        scenario = ScenarioInput(L_i=1e-6)
-        assert scenario.balanced
-
-    def test_fixed_pressure_variant(self):
-        scenario = ScenarioInput(L_i=1e-6, inside_pressure=0.5)
-        assert not scenario.balanced
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            ScenarioInput(L_i=0.0)
-        with pytest.raises(DomainError):
-            ScenarioInput(L_i=1e-6, inside_pressure=-0.5)
-
-    def test_evaluate_dispatch(self):
-        balanced = evaluate_scenario(ScenarioInput(L_i=1e-6))
-        assert balanced.classification is ScenarioClassification.BALANCED_ZERO_OUTSIDE
-        fixed = evaluate_scenario(ScenarioInput(L_i=1e-6, inside_pressure=2.0))
-        assert fixed.classification is ScenarioClassification.DIVERGING_OUTSIDE
-        assert fixed.P_i == 2.0
-
-
-class TestLimitSweep:
-    def test_adjacent_ratio_law(self):
-        rows = limit_sweep([1e-6, 5e-7], P_i_fixed=0.0)
-        assert rows[1].situation_one_P_o / rows[0].situation_one_P_o == pytest.approx(
-            16.0, rel=1e-12)
-        assert rows[1].situation_two_P_i / rows[0].situation_two_P_i == pytest.approx(
-            16.0, rel=1e-12)
-
-    def test_monotone_columns(self):
-        grid = [1e-6 / (2.0 ** k) for k in range(8)]
-        rows = limit_sweep(grid, P_i_fixed=0.0)
-        outside = [row.situation_one_P_o for row in rows]
-        inside = [row.situation_two_P_i for row in rows]
-        assert all(b > a for a, b in zip(outside, outside[1:]))
-        assert all(b < a for a, b in zip(inside, inside[1:]))
-
-    def test_single_gap_reduces_to_scenarios(self):
-        row = limit_sweep([1e-6], P_i_fixed=0.0)[0]
-        assert row.situation_one_P_o == situation_one(1e-6, 0.0).P_o
-        assert row.situation_two_P_i == situation_two(1e-6).P_i
-
-    def test_bad_grids_rejected(self):
-        with pytest.raises(DomainError):
-            limit_sweep([5e-7, 1e-6])
-        with pytest.raises(DomainError):
-            limit_sweep([])
-        with pytest.raises(DomainError):
-            limit_sweep([1e-6, -1e-7])
-
-
 class TestCosmologicalCrossover:
     def test_reference_density(self):
         gap = cosmological_crossover(RHO_COSMOLOGICAL)
@@ -195,3 +133,22 @@ class TestCosmologicalCrossover:
         for rho in (1e-20, 1e5):
             closed = cosmological_crossover(rho)
             assert crossover_by_bisection(rho) == pytest.approx(closed, rel=1e-10)
+
+    @pytest.mark.parametrize("constants", [None, natural_units()],
+                             ids=["si", "natural"])
+    @pytest.mark.parametrize("rho", [1e-300, 1e250])
+    def test_density_range_ends_accepted(self, rho, constants):
+        closed = cosmological_crossover(rho, constants)
+        bisected = crossover_by_bisection(rho, constants)
+        assert math.isfinite(closed) and closed > 0.0
+        assert abs(closed - bisected) / closed <= 5e-13
+
+    @pytest.mark.parametrize("constants", [None, natural_units()],
+                             ids=["si", "natural"])
+    @pytest.mark.parametrize("rho", [9.9e-301, 1.01e250, 1e-310, 1e-320, 1e300,
+                                     1e306, math.inf, math.nan])
+    def test_density_outside_range_rejected(self, rho, constants):
+        with pytest.raises(DomainError):
+            cosmological_crossover(rho, constants)
+        with pytest.raises(DomainError):
+            crossover_by_bisection(rho, constants)

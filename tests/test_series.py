@@ -330,8 +330,7 @@ class TestExponentialCutoff:
 
 class TestTraces:
     def test_cutoff_trace_window_validation(self):
-        good = CutoffTrace(rows=((0.1, cutoff_regularized_value(0.1)),))
-        assert good.epsilons == (0.1,)
+        CutoffTrace(rows=((0.1, cutoff_regularized_value(0.1)),))
         with pytest.raises(DomainError):
             CutoffTrace(rows=((0.1, -0.2),))  # below -1/12
         with pytest.raises(DomainError):
@@ -348,14 +347,12 @@ class TestSeriesEstimate:
         assert estimate.error_bound == tail_bound(4, 10).upper
         assert abs(estimate.estimate - zeta_even_closed_form(4)) <= estimate.error_bound
 
-    def test_closed_form_invariants(self):
-        good = SeriesEstimate(1.0, 0.0, SummationMethod.CLOSED_FORM, 0)
-        assert good.terms_used == 0
-        with pytest.raises(DomainError):
-            SeriesEstimate(1.0, 1e-3, SummationMethod.CLOSED_FORM, 0)
+    def test_estimate_invariants(self):
+        good = SeriesEstimate(1.0, 0.0, SummationMethod.DIRECT, 1)
+        assert good.terms_used == 1
         with pytest.raises(DomainError):
             SeriesEstimate(1.0, 1e-3, SummationMethod.DIRECT, 0)
         with pytest.raises(DomainError):
-            SeriesEstimate(1.0, 0.0, SummationMethod.CLOSED_FORM, 5)
-        with pytest.raises(DomainError):
             SeriesEstimate(1.0, -1e-3, SummationMethod.DIRECT, 5)
+        with pytest.raises(DomainError):
+            SeriesEstimate(1.0, math.nan, SummationMethod.EULER_MACLAURIN, 5)

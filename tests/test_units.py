@@ -9,7 +9,6 @@ from casimir_kit.units import (
     ConstantsSource,
     PhysicalConstants,
     codata_constants,
-    custom_constants,
     natural_units,
     parse_length,
 )
@@ -36,14 +35,10 @@ class TestPhysicalConstants:
         assert constants.hbar * constants.c == 1.0
         assert constants.source_tag is ConstantsSource.NATURAL
 
-    def test_custom_constants_tagged(self):
-        constants = custom_constants(2.0, 3.0)
-        assert constants.source_tag is ConstantsSource.CUSTOM
-
     @pytest.mark.parametrize("hbar,c", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
     def test_nonpositive_constants_rejected(self, hbar, c):
         with pytest.raises(DomainError):
-            PhysicalConstants(hbar, c, ConstantsSource.CUSTOM)
+            PhysicalConstants(hbar, c, ConstantsSource.CODATA)
 
     def test_natural_tag_requires_unit_values(self):
         with pytest.raises(DomainError):

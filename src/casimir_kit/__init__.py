@@ -14,8 +14,6 @@ from .core import (
     PlateGap,
     SignConvention,
     convergence_report,
-    divergent_area_terms,
-    divergent_energy_terms,
     energy_per_area_closed,
     energy_per_area_series,
     force_per_area,
@@ -55,8 +53,7 @@ from .series import (
     zeta_even_closed_form,
 )
 from .units import (
-    ConstantsSource,
-    PhysicalConstants,
+    UnitSystem,
     codata_constants,
     natural_units,
     parse_length,

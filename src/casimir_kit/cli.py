@@ -23,14 +23,13 @@ from .errors import CasimirKitError, DomainError, ImplausibleGapWarning, ParseEr
 from .output import (
     OutputEnvelope,
     RunConfig,
-    UnitSystem,
     default_config_file,
     load_config_file,
     make_metadata,
     render_envelope,
     resolve_config,
 )
-from .units import PhysicalConstants, codata_constants, natural_units, parse_length
+from .units import UnitSystem, parse_length
 
 __all__ = ["build_parser", "main"]
 
@@ -38,12 +37,6 @@ _SIGN_CHOICES = {
     "negative": core.SignConvention.ATTRACTIVE_NEGATIVE,
     "magnitude": core.SignConvention.MAGNITUDE,
 }
-
-def _constants_for(config: RunConfig) -> PhysicalConstants:
-    if config.unit_system is UnitSystem.NATURAL:
-        return natural_units()
-    return codata_constants()
-
 
 def _parse_gap(text: str, config: RunConfig, flag: str = "gap") -> float:
     if config.unit_system is UnitSystem.NATURAL:
@@ -59,11 +52,6 @@ def _parse_gap(text: str, config: RunConfig, flag: str = "gap") -> float:
         return parse_length(text)
     except DomainError:
         raise DomainError(f"{flag} must be positive, got '{text}'")
-
-
-def _require_finite(value: float | None, flag: str) -> None:
-    if value is not None and not math.isfinite(value):
-        raise DomainError(f"{flag} must be finite, got {value!r}")
 
 
 def _require_rows(count: int, flag: str) -> int:
@@ -82,7 +70,7 @@ def _parse_list(text: str, flag: str, cast, kind: str) -> list:
 def _gap_object(args, config: RunConfig) -> tuple[core.PlateGap, dict]:
     gap_value = _parse_gap(args.gap, config)
     inputs = {"gap": args.gap, "gap_value": gap_value}
-    return core.PlateGap(gap_value, _constants_for(config)), inputs
+    return core.PlateGap(gap_value, config.unit_system), inputs
 
 
 def cmd_energy(args, config: RunConfig) -> tuple[dict, dict]:
@@ -154,16 +142,14 @@ def cmd_cutoff(args, config: RunConfig) -> tuple[dict, dict]:
 
 
 def cmd_paradox(args, config: RunConfig) -> tuple[dict, dict]:
-    constants = _constants_for(config)
     L_i = _parse_gap(args.Li, config, flag="Li")
-    _require_finite(args.Pi, "Pi")
     if args.situation == "one":
         P_i = args.Pi if args.Pi is not None else 0.0
-        result = paradox.situation_one(L_i, P_i, constants)
+        result = paradox.situation_one(L_i, P_i, config.unit_system)
     else:
         if args.Pi is not None:
             raise DomainError("--Pi applies only to situation one")
-        result = paradox.situation_two(L_i, constants)
+        result = paradox.situation_two(L_i, config.unit_system)
     return {
         "Li": args.Li,
         "Li_value": L_i,
@@ -174,9 +160,8 @@ def cmd_paradox(args, config: RunConfig) -> tuple[dict, dict]:
 
 
 def cmd_crossover(args, config: RunConfig) -> tuple[dict, dict]:
-    constants = _constants_for(config)
-    closed = paradox.cosmological_crossover(args.rho, constants)
-    bisected = paradox.crossover_by_bisection(args.rho, constants)
+    closed = paradox.cosmological_crossover(args.rho, config.unit_system)
+    bisected = paradox.crossover_by_bisection(args.rho, config.unit_system)
     return {"rho_vac": args.rho}, {
         "crossover_gap": closed,
         "crossover_gap_bisection": bisected,
@@ -185,7 +170,7 @@ def cmd_crossover(args, config: RunConfig) -> tuple[dict, dict]:
 
 
 def cmd_sweep(args, config: RunConfig) -> tuple[dict, dict]:
-    constants = _constants_for(config)
+    constants = config.unit_system
     lo = _parse_gap(args.min, config, flag="min")
     hi = _parse_gap(args.max, config, flag="max")
     if hi < lo:
@@ -236,7 +221,7 @@ def _build_envelope(args, config: RunConfig, inputs: dict,
                     results: dict) -> OutputEnvelope:
     """One subcommand's answer with the metadata of its run.
 
-    The constants source follows the unit system; the sign convention
+    The constants source is the unit system's; the sign convention
     follows ``--sign`` where the subcommand has it, and is
     ``attractive_negative`` otherwise.
     """
@@ -245,7 +230,7 @@ def _build_envelope(args, config: RunConfig, inputs: dict,
         command=args.command,
         inputs=inputs,
         results=results,
-        metadata=make_metadata(_constants_for(config).source_tag.value, sign.value),
+        metadata=make_metadata(config.unit_system.source, sign.value),
     )
 
 

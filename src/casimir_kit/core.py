@@ -12,8 +12,8 @@ For a gap ``a`` the n-th standing-wave state carries
 The energy-per-area series sums the termwise ratio flux / A_n, which is
 ``hbar c / (8 pi^2 a^3) * n^-4`` and converges to
 ``hbar c pi^2 / (720 a^3)``.  The two divergent intermediate totals
-(the raw flux sum and the raw area sum) are never evaluated; they are
-exposed only as per-term sequences for inspection.
+(the raw flux sum and the raw area sum) are never evaluated; their terms
+are :func:`per_state_energy_flux` and ``mode_state(n, gap).area_n``.
 
 The closed-form magnitude is positive; the attractive sign is a stated
 convention, selectable per call and defaulting to ``attractive_negative``.
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -34,7 +34,7 @@ from .series import (
     tail_bound,
     zeta_even_closed_form,
 )
-from .units import ConstantsSource, PhysicalConstants, codata_constants
+from .units import UnitSystem
 
 __all__ = [
     "SignConvention",
@@ -51,8 +51,6 @@ __all__ = [
     "energy_per_area_closed",
     "force_per_area",
     "convergence_report",
-    "divergent_energy_terms",
-    "divergent_area_terms",
 ]
 
 # Default truncation: tail bound ~3.3e-10 of the mode sum, far below the
@@ -87,10 +85,10 @@ class PlateGap:
     """
 
     a: float
-    constants: PhysicalConstants = field(default_factory=codata_constants)
+    constants: UnitSystem = UnitSystem.SI
 
     def __post_init__(self) -> None:
-        if self.constants.source_tag is ConstantsSource.CODATA:
+        if self.constants is UnitSystem.SI:
             lo, hi = _GAP_HARD_RANGE
             if not lo <= self.a <= hi:
                 raise DomainError(
@@ -274,28 +272,3 @@ def convergence_report(
             closed_form_value=result.closed_form_value,
         ))
     return tuple(rows)
-
-
-def divergent_energy_terms(gap: PlateGap, n_max: int) -> tuple[float, ...]:
-    """First ``n_max`` terms of the raw flux sum (every one is hbar c / 2a).
-
-    The total diverges and is never evaluated here; only the termwise ratio
-    against the state areas is ever summed.
-    """
-    n_max = _require_mode_count(n_max)
-    flux = per_state_energy_flux(gap)
-    return tuple(flux for _ in range(n_max))
-
-
-def divergent_area_terms(gap: PlateGap, n_max: int) -> tuple[float, ...]:
-    """First ``n_max`` state areas ``4 n^4 pi^2 a^2`` (their total diverges)."""
-    n_max = _require_mode_count(n_max)
-    scale = 4.0 * math.pi ** 2 * gap.a * gap.a
-    return tuple(scale * float(n) ** 4 for n in range(1, n_max + 1))
-
-
-def _require_mode_count(n_max: int) -> int:
-    n_max = positive_int(n_max, "mode count")
-    if n_max > MAX_ROWS:
-        raise DomainError(f"mode count must be at most {MAX_ROWS}, got {n_max}")
-    return n_max

@@ -9,11 +9,12 @@ byte-identical output.
 
 JSON is written by a small emitter of its own whose output is byte-identical
 to ``json.dumps(envelope.to_dict(), indent=2) + "\n"``: floats through
-``float.__repr__`` (``NaN``/``Infinity``/``-Infinity`` when not finite),
-ints through ``int.__repr__``, strings through the stdlib's
-``encode_basestring_ascii`` and enums as their values; dict keys must be
-strings.  It reads the envelope's fields in place rather than copying them
-through :meth:`OutputEnvelope.to_dict`.  A list of dicts that all share one key
+``float.__repr__``, ints through ``int.__repr__``, strings through the
+stdlib's ``encode_basestring_ascii`` and enums as their values; dict keys
+must be strings.  A nan or infinite float raises ``ValueError`` (as
+``allow_nan=False`` does), so stdout never carries ``NaN`` or ``Infinity``.
+It reads the envelope's fields in place rather than copying them through
+:meth:`OutputEnvelope.to_dict`.  A list of dicts that all share one key
 order, such as a ``rows`` table, is formatted column by column: each column
 in one pass (``float.__repr__`` over an all-finite float column,
 ``int.__repr__`` over an all-int one), then each row through one ``%``
@@ -35,6 +36,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .errors import DomainError, ParseError
+from .units import UnitSystem
 
 __all__ = [
     "UnitSystem",
@@ -57,11 +59,6 @@ CONFIG_ENV_VAR = "CASIMIR_KIT_CONFIG"
 # The geometry's only volume is plate area times gap; this definition is
 # stamped into every output's metadata so the convention is never implicit.
 VOLUMETRIC_DENSITY_DEFINITION = "volumetric_energy_density = |energy_per_area| / gap"
-
-
-class UnitSystem(str, Enum):
-    SI = "si"
-    NATURAL = "natural"
 
 
 class OutputFormat(str, Enum):
@@ -220,12 +217,8 @@ def _encode(obj, indent: str) -> str:
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, float):
-        if obj != obj:
-            return "NaN"
-        if obj == math.inf:
-            return "Infinity"
-        if obj == -math.inf:
-            return "-Infinity"
+        if not math.isfinite(obj):
+            raise ValueError(f"float {obj!r} is not JSON compliant")
         return float.__repr__(obj)
     inner = indent + _INDENT
     if isinstance(obj, (list, tuple)):

@@ -31,7 +31,7 @@ from enum import Enum
 
 from .core import PlateGap, force_per_area
 from .errors import DomainError
-from .units import PhysicalConstants, codata_constants
+from .units import UnitSystem
 
 __all__ = [
     "ScenarioClassification",
@@ -67,30 +67,25 @@ class ScenarioResult:
                 "balanced scenarios require P_o = 0 exactly and P_i < 0")
 
 
-def _gap(L_i: float, constants: PhysicalConstants | None) -> PlateGap:
-    return PlateGap(L_i, constants if constants is not None else codata_constants())
-
-
-def pressure_difference(
-        L_i: float, constants: PhysicalConstants | None = None) -> float:
+def pressure_difference(L_i: float, constants: UnitSystem = UnitSystem.SI) -> float:
     """Inside-minus-outside pressure, ``-hbar c pi^2 / (240 L_i^4)``."""
-    return force_per_area(_gap(L_i, constants))
+    return force_per_area(PlateGap(L_i, constants))
 
 
 def situation_one(
         L_i: float,
         P_i: float = 0.0,
-        constants: PhysicalConstants | None = None,
+        constants: UnitSystem = UnitSystem.SI,
 ) -> ScenarioResult:
-    """Nonnegative inside pressure; the outside pressure diverges as L_i -> 0.
+    """Finite, nonnegative inside pressure; the outside one diverges as L_i -> 0.
 
     ``difference`` is evaluated from the closed form rather than as
     ``P_i - P_o``, so it stays exact even when ``P_i`` dwarfs the
     attraction magnitude.
     """
-    if P_i < 0.0:
-        raise DomainError(
-            f"inside pressure must be nonnegative in situation one, got {P_i!r}")
+    if not 0.0 <= P_i < math.inf:
+        raise DomainError(f"inside pressure Pi must be finite and nonnegative "
+                          f"in situation one, got {P_i!r}")
     difference = pressure_difference(L_i, constants)
     magnitude = -difference
     return ScenarioResult(
@@ -103,8 +98,7 @@ def situation_one(
     )
 
 
-def situation_two(
-        L_i: float, constants: PhysicalConstants | None = None) -> ScenarioResult:
+def situation_two(L_i: float, constants: UnitSystem = UnitSystem.SI) -> ScenarioResult:
     """Inside pressure equals the attraction; the outside contribution cancels.
 
     The cancellation is algebraic, so ``P_o`` is returned as exact zero
@@ -130,27 +124,26 @@ def _require_density(rho_vac: float) -> None:
             f"[{lo}, {hi}], got {rho_vac!r}")
 
 
-def _density_magnitude(a: float, constants: PhysicalConstants) -> float:
+def _density_magnitude(a: float, constants: UnitSystem) -> float:
     """|energy per area| / gap, the volumetric density used for the crossover."""
     return constants.hbar * constants.c * math.pi ** 2 / (720.0 * a ** 4)
 
 
 def cosmological_crossover(
-        rho_vac: float, constants: PhysicalConstants | None = None) -> float:
+        rho_vac: float, constants: UnitSystem = UnitSystem.SI) -> float:
     """Gap at which |E/A|/a matches a reference vacuum energy density.
 
     Solves ``hbar c pi^2 / (720 a^4) = rho_vac`` in closed form,
     ``a = (hbar c pi^2 / (720 rho_vac))^(1/4)``.
     """
     _require_density(rho_vac)
-    constants = constants if constants is not None else codata_constants()
     return (constants.hbar * constants.c * math.pi ** 2
             / (720.0 * rho_vac)) ** 0.25
 
 
 def crossover_by_bisection(
         rho_vac: float,
-        constants: PhysicalConstants | None = None,
+        constants: UnitSystem = UnitSystem.SI,
         rel_tol: float = 1e-12,
 ) -> float:
     """Independent bracketing root search for the crossover gap.
@@ -160,8 +153,6 @@ def crossover_by_bisection(
     cross-check the closed form.
     """
     _require_density(rho_vac)
-    constants = constants if constants is not None else codata_constants()
-
     lo, hi = 1e-9, 1.0
     while _density_magnitude(lo, constants) < rho_vac:
         lo /= 16.0

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -101,7 +102,7 @@ class CutoffTrace:
 
     The regularized values approach -1/12 from above; for eps <= 0.3 each
     row must lie in ``(-1/12, -1/12 + eps^2/200)``, which follows from the
-    small-eps expansion ``-1/12 + eps^2/240 - eps^4/1512 + ...``.
+    small-eps expansion ``-1/12 + eps^2/240 - eps^4/6048 + ...``.
     """
 
     rows: tuple[tuple[float, float], ...]
@@ -289,8 +290,11 @@ def cutoff_regularized_value(epsilon: float) -> float:
     """
     epsilon = _require_cutoff(epsilon)
     one_minus = -math.expm1(-epsilon)  # 1 - e^-eps without cancellation
-    g = math.exp(-epsilon) / (one_minus * one_minus)
-    return g - 1.0 / (epsilon * epsilon)
+    square = one_minus * one_minus
+    if square < sys.float_info.min:
+        raise DomainError(
+            f"cutoff {epsilon!r} is too small: (1 - e^-eps)^2 underflows")
+    return math.exp(-epsilon) / square - 1.0 / (epsilon * epsilon)
 
 
 def exponential_cutoff_finite_part(

@@ -1,21 +1,19 @@
 """Physical constants and length parsing.
 
-Everything downstream consumes hbar and c through :class:`PhysicalConstants`,
-so SI (CODATA 2018) and natural units (hbar = c = 1) share one code path.
+Everything downstream reads hbar and c from a :class:`UnitSystem` member, so
+SI (CODATA 2018) and natural units (hbar = c = 1) share one code path.
 Internal computation is always in SI base units: meters, seconds, joules.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, ParseError
 
 __all__ = [
-    "ConstantsSource",
-    "PhysicalConstants",
+    "UnitSystem",
     "codata_constants",
     "natural_units",
     "parse_length",
@@ -29,39 +27,45 @@ HBAR_SI = 1.054571817e-34  # J s
 C_SI = 299792458.0  # m / s
 
 
-class ConstantsSource(str, Enum):
-    CODATA = "codata"
-    NATURAL = "natural"
+class UnitSystem(Enum):
+    """The two unit systems, each carrying its own hbar, c and source tag.
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """hbar and c with a provenance tag.
-
-    The natural variant has hbar = c = 1 exactly; values are hard-coded,
-    never fetched, so identical runs produce identical numbers.
+    The values are hard-coded, never fetched, so identical runs produce
+    identical numbers.  ``hbar``, ``c`` and ``source`` are plain read-only
+    attributes, and no other constant set can be built.
+    ``UnitSystem("si")`` and ``UnitSystem("natural")`` look a member up by
+    its CLI and config spelling; ``source`` is the ``constants_source`` every
+    output reports.
     """
 
-    hbar: float
-    c: float
-    source_tag: ConstantsSource
+    SI = (HBAR_SI, C_SI, "codata")
+    NATURAL = (1.0, 1.0, "natural")
 
-    def __post_init__(self) -> None:
-        if not (self.hbar > 0.0 and self.c > 0.0):
-            raise DomainError("hbar and c must both be positive")
-        if self.source_tag is ConstantsSource.NATURAL and (
-                self.hbar != 1.0 or self.c != 1.0):
-            raise DomainError("natural units require hbar = c = 1 exactly")
+    def __init__(self, hbar: float, c: float, source: str) -> None:
+        # One attribute at a time: filling vars(self) wholesale would make
+        # every later read take the slower dictionary path.
+        object.__setattr__(self, "hbar", hbar)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "source", source)
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in ("hbar", "c", "source"):
+            raise AttributeError(f"{self.name}.{name} is read-only")
+        super().__setattr__(name, value)
+
+    @classmethod
+    def _missing_(cls, value):
+        return cls[value.upper()] if value in ("si", "natural") else None
 
 
-def codata_constants() -> PhysicalConstants:
+def codata_constants() -> UnitSystem:
     """CODATA 2018 values of hbar and c in SI units."""
-    return PhysicalConstants(HBAR_SI, C_SI, ConstantsSource.CODATA)
+    return UnitSystem.SI
 
 
-def natural_units() -> PhysicalConstants:
+def natural_units() -> UnitSystem:
     """hbar = c = 1, so lengths and times share one unit."""
-    return PhysicalConstants(1.0, 1.0, ConstantsSource.NATURAL)
+    return UnitSystem.NATURAL
 
 
 _METERS_PER_SUFFIX = {

@@ -296,6 +296,13 @@ class TestCutoffCommand:
         code, _, err = run_cli(["cutoff", "--epsilons", "0.1,0"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("epsilons", ["1e-200", "5e-324", "1e-310", "0.2,1e-300"])
+    def test_underflowing_epsilon_rejected(self, epsilons, capsys):
+        code, out, err = run_cli(["cutoff", "--epsilons", epsilons], capsys)
+        assert code == 2
+        assert out == ""
+        assert "underflows" in err
+
 
 class TestParadoxCommand:
     def test_situation_two_zero_outside(self, capsys):
@@ -547,6 +554,15 @@ class TestDiagnosticsAndExitCodes:
         assert code == 1
         assert out == ""
         assert "internal error" in err
+
+    def test_non_finite_result_exits_one(self, capsys, monkeypatch):
+        # stdout is strict JSON: a nan that reaches the emitter is a bug.
+        monkeypatch.setitem(_HANDLERS, "force", lambda args, config: (
+            {}, {"force_per_area": math.nan}))
+        code, out, err = run_cli(["force", "--gap", "1um"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "not JSON compliant" in err
 
     def test_diagnostics_never_on_stdout(self, capsys):
         code, out, err = run_cli(["zeta", "--s", "7"], capsys)

@@ -13,7 +13,7 @@ from casimir_kit.paradox import (
     situation_one,
     situation_two,
 )
-from casimir_kit.units import natural_units
+from casimir_kit.units import codata_constants, natural_units
 
 FORCE_1UM = -1.3001257724477536e-3  # same frozen anchor as in test_core
 RHO_COSMOLOGICAL = 5.26e-10  # J/m^3, free-space vacuum energy upper estimate
@@ -67,8 +67,13 @@ class TestSituationOne:
             assert result.P_i - result.P_o == pytest.approx(result.difference, rel=1e-12)
 
     def test_negative_inside_pressure_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="Pi must be finite and nonnegative"):
             situation_one(1e-6, -1.0)
+
+    @pytest.mark.parametrize("P_i", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inside_pressure_rejected(self, P_i):
+        with pytest.raises(DomainError, match="Pi must be finite and nonnegative"):
+            situation_one(1e-6, P_i)
 
 
 class TestSituationTwo:
@@ -134,7 +139,7 @@ class TestCosmologicalCrossover:
             closed = cosmological_crossover(rho)
             assert crossover_by_bisection(rho) == pytest.approx(closed, rel=1e-10)
 
-    @pytest.mark.parametrize("constants", [None, natural_units()],
+    @pytest.mark.parametrize("constants", [codata_constants(), natural_units()],
                              ids=["si", "natural"])
     @pytest.mark.parametrize("rho", [1e-300, 1e250])
     def test_density_range_ends_accepted(self, rho, constants):
@@ -143,7 +148,7 @@ class TestCosmologicalCrossover:
         assert math.isfinite(closed) and closed > 0.0
         assert abs(closed - bisected) / closed <= 5e-13
 
-    @pytest.mark.parametrize("constants", [None, natural_units()],
+    @pytest.mark.parametrize("constants", [codata_constants(), natural_units()],
                              ids=["si", "natural"])
     @pytest.mark.parametrize("rho", [9.9e-301, 1.01e250, 1e-310, 1e-320, 1e300,
                                      1e306, math.inf, math.nan])

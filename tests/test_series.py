@@ -322,6 +322,22 @@ class TestExponentialCutoff:
             assert big > 0.0 and small > 0.0
             assert 3.5 <= big / small <= 4.5
 
+    @pytest.mark.parametrize("eps", [1e-200, 5e-324, 1e-310, 1e-300])
+    def test_underflowing_cutoff_rejected(self, eps):
+        # (1 - e^-eps)^2 underflows below eps ~ 1.5e-154.
+        with pytest.raises(DomainError, match="underflows"):
+            cutoff_regularized_value(eps)
+        with pytest.raises(DomainError, match="underflows"):
+            exponential_cutoff_finite_part([0.2, eps])
+
+    @given(st.floats(min_value=0.0, max_value=0.5, exclude_min=True))
+    def test_closed_form_finite_or_rejected(self, eps):
+        try:
+            value = cutoff_regularized_value(eps)
+        except DomainError:
+            return
+        assert math.isfinite(value)
+
     @pytest.mark.parametrize("grid", [[], [0.0], [-0.1], [0.6], [0.1, 0.2]])
     def test_bad_grids_rejected(self, grid):
         with pytest.raises(DomainError):

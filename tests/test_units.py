@@ -4,10 +4,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from casimir_kit.core import PlateGap
 from casimir_kit.errors import DomainError, ParseError
+from casimir_kit.output import resolve_config
 from casimir_kit.units import (
-    ConstantsSource,
-    PhysicalConstants,
+    UnitSystem,
     codata_constants,
     natural_units,
     parse_length,
@@ -18,11 +19,18 @@ _HBAR_FROM_H = 6.62607015e-34 / (2.0 * math.pi)
 
 
 class TestPhysicalConstants:
+    """hbar and c as the two members of :class:`UnitSystem` carry them."""
+
+    def test_exactly_two_members(self):
+        assert list(UnitSystem) == [UnitSystem.SI, UnitSystem.NATURAL]
+        assert codata_constants() is UnitSystem.SI
+        assert natural_units() is UnitSystem.NATURAL
+
     def test_codata_values(self):
         constants = codata_constants()
         assert constants.hbar == 1.054571817e-34
         assert constants.c == 299792458.0
-        assert constants.source_tag is ConstantsSource.CODATA
+        assert constants.source == "codata"
 
     def test_codata_hbar_consistent_with_exact_h(self):
         # The table entry is the rounded value of h / 2 pi.
@@ -33,20 +41,38 @@ class TestPhysicalConstants:
         assert constants.hbar == 1.0
         assert constants.c == 1.0
         assert constants.hbar * constants.c == 1.0
-        assert constants.source_tag is ConstantsSource.NATURAL
+        assert constants.source == "natural"
 
     @pytest.mark.parametrize("hbar,c", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
     def test_nonpositive_constants_rejected(self, hbar, c):
-        with pytest.raises(DomainError):
-            PhysicalConstants(hbar, c, ConstantsSource.CODATA)
+        # No constant set outside the two members can be built.
+        with pytest.raises(ValueError):
+            UnitSystem((hbar, c, "codata"))
 
     def test_natural_tag_requires_unit_values(self):
-        with pytest.raises(DomainError):
-            PhysicalConstants(1.1, 1.0, ConstantsSource.NATURAL)
+        with pytest.raises(ValueError):
+            UnitSystem((1.1, 1.0, "natural"))
 
     def test_immutable(self):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            codata_constants().hbar = 1.0
+        for member in UnitSystem:
+            for field in ("hbar", "c", "source"):
+                with pytest.raises(AttributeError):
+                    setattr(member, field, 1.0)
+
+    def test_members_survive_dataclass_copies(self):
+        # asdict deep-copies every field; a member must come back as itself.
+        copied = dataclasses.asdict(PlateGap(1e-6, UnitSystem.SI))
+        assert copied == {"a": 1e-6, "constants": UnitSystem.SI}
+        assert copied["constants"] is UnitSystem.SI
+
+    def test_looked_up_by_cli_spelling(self):
+        assert UnitSystem("si") is UnitSystem.SI
+        assert UnitSystem("natural") is UnitSystem.NATURAL
+
+    @pytest.mark.parametrize("text", ["SI", "Si", "NATURAL", "codata", ""])
+    def test_other_spellings_rejected(self, text):
+        with pytest.raises(ParseError):
+            resolve_config({"units": text})
 
 
 class TestParseLength:

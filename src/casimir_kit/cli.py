@@ -7,7 +7,7 @@ envelope, one CSV table, or one text report per run.
 Each ``cmd_*`` handler returns only its ``(inputs, results)``; ``main``
 dispatches through ``_HANDLERS`` and wraps every answer with
 :func:`_build_envelope`.  ``_COMMANDS`` is the one table of subcommands:
-handler, help line and argument specs.
+handler, help line and argument specs.  A table result is one ``Table``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .errors import CasimirKitError, DomainError, ImplausibleGapWarning, ParseEr
 from .output import (
     OutputEnvelope,
     RunConfig,
+    Table,
     default_config_file,
     load_config_file,
     make_metadata,
@@ -95,7 +96,8 @@ def cmd_force(args, config: RunConfig) -> tuple[dict, dict]:
 def cmd_modes(args, config: RunConfig) -> tuple[dict, dict]:
     gap, inputs = _gap_object(args, config)
     inputs["n_max"] = _require_rows(args.n_max, "n-max")
-    rows = [core.mode_state(n, gap)._asdict() for n in range(1, args.n_max + 1)]
+    rows = Table(core.ModeState._fields,
+                 [core.mode_state(n, gap) for n in range(1, args.n_max + 1)])
     return inputs, {"traversal_time": core.traversal_time(gap), "rows": rows}
 
 
@@ -105,7 +107,7 @@ def cmd_converge(args, config: RunConfig) -> tuple[dict, dict]:
     sign = _SIGN_CHOICES[args.sign]
     report = core.convergence_report(gap, Ns, sign)
     inputs.update({"Ns": Ns, "sign": sign.value})
-    return inputs, {"rows": [row._asdict() for row in report]}
+    return inputs, {"rows": Table(core.ConvergenceRow._fields, report)}
 
 
 def cmd_zeta(args, config: RunConfig) -> tuple[dict, dict]:
@@ -136,8 +138,7 @@ def cmd_cutoff(args, config: RunConfig) -> tuple[dict, dict]:
         "finite_part_error_bound": finite_part.error_bound,
         "method": finite_part.method.value,
         "terms_used": finite_part.terms_used,
-        "rows": [{"epsilon": eps, "regularized_value": value}
-                 for eps, value in trace.rows],
+        "rows": Table(("epsilon", "regularized_value"), trace.rows),
     }
 
 
@@ -195,7 +196,7 @@ def cmd_sweep(args, config: RunConfig) -> tuple[dict, dict]:
     # Grid points lie in [lo, hi] up to rounding, so only the endpoints warn.
     core.PlateGap(lo, constants)
     core.PlateGap(hi, constants)
-    rows = []
+    rows = Table(("gap_value", "value"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ImplausibleGapWarning)
         for gap_value in grid:
@@ -204,7 +205,7 @@ def cmd_sweep(args, config: RunConfig) -> tuple[dict, dict]:
                 value = core.force_per_area(gap)
             else:
                 value = core.energy_per_area_closed(gap, sign)
-            rows.append({"gap_value": gap_value, "value": value})
+            rows.append((gap_value, value))
     return {
         "quantity": args.quantity,
         "min": args.min,

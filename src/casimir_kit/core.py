@@ -73,6 +73,12 @@ class SignConvention(str, Enum):
     ATTRACTIVE_NEGATIVE = "attractive_negative"
 
 
+# Per-row paths compare with these module globals: a read through an Enum
+# class costs several times a global's.
+_SI = UnitSystem.SI
+_ATTRACTIVE_NEGATIVE = SignConvention.ATTRACTIVE_NEGATIVE
+
+
 @dataclass(frozen=True)
 class PlateGap:
     """Separation between the plates plus the constants to evaluate with.
@@ -88,7 +94,7 @@ class PlateGap:
     constants: UnitSystem = UnitSystem.SI
 
     def __post_init__(self) -> None:
-        if self.constants is UnitSystem.SI:
+        if self.constants is _SI:
             lo, hi = _GAP_HARD_RANGE
             if not lo <= self.a <= hi:
                 raise DomainError(
@@ -157,7 +163,7 @@ def _series_coefficient(gap: PlateGap) -> float:
 
 
 def _signed(magnitude: float, sign: SignConvention) -> float:
-    if sign is SignConvention.ATTRACTIVE_NEGATIVE:
+    if sign is _ATTRACTIVE_NEGATIVE:
         return -magnitude
     return magnitude
 
@@ -170,7 +176,6 @@ class EnergyDensityResult:
     form from below in magnitude and the truncation bound is rigorous.
     """
 
-    gap: PlateGap
     series_value: float
     closed_form_value: float
     terms_used: int
@@ -214,7 +219,6 @@ def energy_per_area_series(
     partial = partial_sum_inverse_powers(4.0, N)
     bound = coefficient * tail_bound(4.0, N).upper
     return EnergyDensityResult(
-        gap=gap,
         series_value=_signed(coefficient * partial, sign),
         closed_form_value=_signed(coefficient * zeta_even_closed_form(4), sign),
         terms_used=int(N),

@@ -14,13 +14,13 @@ stdlib's ``encode_basestring_ascii`` and enums as their values; dict keys
 must be strings.  A nan or infinite float raises ``ValueError`` (as
 ``allow_nan=False`` does), so stdout never carries ``NaN`` or ``Infinity``.
 It reads the envelope's fields in place rather than copying them through
-:meth:`OutputEnvelope.to_dict`.  A list of dicts that all share one key
-order, such as a ``rows`` table, is formatted column by column: each column
-in one pass (``float.__repr__`` over an all-finite float column,
-``int.__repr__`` over an all-int one), then each row through one ``%``
-template built for that key order.  The stdlib encoder cannot be used
+:meth:`OutputEnvelope.to_dict`.  The stdlib encoder cannot be used
 directly for speed, because with ``indent`` set it always falls back to its
 pure-Python path.
+
+A table travels as a :class:`Table` of row tuples, and all three formats
+format it column by column (:func:`_cell_texts`); JSON writes each row as an
+object keyed by the table's fields.  Any other list is encoded item by item.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import os
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from pathlib import Path
 
 from .errors import DomainError, ParseError
@@ -43,6 +42,7 @@ __all__ = [
     "OutputFormat",
     "RunConfig",
     "OutputEnvelope",
+    "Table",
     "CONFIG_ENV_VAR",
     "TOOL_VERSION",
     "VOLUMETRIC_DENSITY_DEFINITION",
@@ -108,35 +108,23 @@ def resolve_config(
         units: str | None = None,
         precision: int | None = None,
         output_format: str | None = None,
-        default_N: int | None = None,
 ) -> RunConfig:
     """Merge defaults, config-file values, and explicit flags (flags win)."""
     file_values = file_values or {}
-
-    def _pick(flag, key, cast):
+    kwargs = {}
+    for name, flag, key, cast in (
+            ("unit_system", units, "units", UnitSystem),
+            ("precision", precision, "precision", int),
+            ("output_format", output_format, "format", OutputFormat),
+            ("default_N", None, "default_n", int)):
         if flag is not None:
-            return cast(flag)
-        if key in file_values:
+            kwargs[name] = cast(flag)
+        elif key in file_values:
             try:
-                return cast(file_values[key])
+                kwargs[name] = cast(file_values[key])
             except (ValueError, KeyError) as exc:
                 raise ParseError(
                     f"bad config value for '{key}': {file_values[key]!r}") from exc
-        return None
-
-    kwargs = {}
-    value = _pick(units, "units", UnitSystem)
-    if value is not None:
-        kwargs["unit_system"] = value
-    value = _pick(precision, "precision", int)
-    if value is not None:
-        kwargs["precision"] = value
-    value = _pick(output_format, "format", OutputFormat)
-    if value is not None:
-        kwargs["output_format"] = value
-    value = _pick(default_N, "default_n", int)
-    if value is not None:
-        kwargs["default_N"] = value
     return RunConfig(**kwargs)
 
 
@@ -153,9 +141,22 @@ def format_significant(value: float, digits: int) -> str:
     return f"{value:.{digits - 1}e}"
 
 
+class Table(list):
+    """Rows as tuples, plus ``fields``: the JSON keys and the CSV/text header."""
+
+    def __init__(self, fields, rows=()) -> None:
+        super().__init__(rows)
+        self.fields = tuple(fields)
+        if not self.fields:
+            raise ValueError("a table needs at least one field")
+
+
 def _jsonable(obj):
     if isinstance(obj, Enum):
         return obj.value
+    if isinstance(obj, Table):
+        return [{key: _jsonable(val) for key, val in zip(obj.fields, row)}
+                for row in obj]
     if isinstance(obj, dict):
         return {key: _jsonable(val) for key, val in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -224,9 +225,8 @@ def _encode(obj, indent: str) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = _row_table(obj, inner)
-        if items is None:
-            items = [_encode(item, inner) for item in obj]
+        items = (_table_rows(obj, inner) if isinstance(obj, Table)
+                 else [_encode(item, inner) for item in obj])
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
     if isinstance(obj, dict):
         if not obj:
@@ -237,36 +237,33 @@ def _encode(obj, indent: str) -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _row_table(rows, indent: str):
-    """Rows as JSON texts, column by column, if all are dicts of one key order.
-
-    Returns ``None`` for any other list; ``indent`` is each row's own.
-    """
-    if set(map(type, rows)) != {dict}:
-        return None
-    shapes = set(map(tuple, rows))
-    if len(shapes) != 1:
-        return None
-    (keys,) = shapes
-    if not keys:
-        return None
+def _table_rows(table: Table, indent: str):
+    """Each row of ``table`` as a JSON object; ``indent`` is each row's own."""
     inner = indent + _INDENT
     template = "{\n" + ",\n".join(
-        inner + _key(key).replace("%", "%%") + ": %s" for key in keys
+        inner + _key(key).replace("%", "%%") + ": %s" for key in table.fields
     ) + "\n" + indent + "}"
-    columns = [_column(list(map(itemgetter(key), rows)), inner) for key in keys]
-    return map(template.__mod__, zip(*columns))
+    texts = _cell_texts(table, float.__repr__, lambda value: _encode(value, inner))
+    return map(template.__mod__, texts)
 
 
-def _column(values: list, indent: str):
-    """JSON texts of one column's values, in one pass where the types allow."""
-    kinds = set(map(type, values))
-    # A sum of floats is finite only if every term is.
-    if kinds == {float} and math.isfinite(sum(values)):
-        return map(float.__repr__, values)
-    if kinds == {int}:
-        return map(int.__repr__, values)
-    return [_encode(value, indent) for value in values]
+def _cell_texts(table: Table, float_text, cell_text):
+    """Rows of ``table`` as tuples of texts, built one column at a time.
+
+    A column of finite floats takes one pass of ``float_text``, one of ints
+    one of ``int.__repr__``; any other goes through ``cell_text`` per cell.
+    """
+    columns = []
+    for column in zip(*table, strict=True):
+        kinds = set(map(type, column))
+        # A sum of floats is finite only if every term is.
+        if kinds == {float} and math.isfinite(sum(column)):
+            columns.append(map(float_text, column))
+        elif kinds == {int}:
+            columns.append(map(int.__repr__, column))
+        else:
+            columns.append(list(map(cell_text, column)))
+    return zip(*columns)
 
 
 def make_metadata(constants_source: str, sign_convention: str) -> dict:
@@ -291,27 +288,26 @@ def _format_cell(value, precision: int) -> str:
     if isinstance(value, float):
         return format_significant(value, precision)
     if isinstance(value, Enum):
-        return value.value
+        return str(value.value)
     return str(value)
 
 
-def _result_table(envelope: OutputEnvelope) -> list[dict]:
-    rows = envelope.results.get("rows")
-    if rows is not None:
-        return list(rows)
-    scalar = {key: val for key, val in envelope.results.items() if key != "rows"}
-    return [scalar]
+def _delimited_texts(table: Table, precision: int):
+    """Cell texts of ``table`` rows for CSV and text output."""
+    return _cell_texts(table, f"{{:.{precision - 1}e}}".format,
+                       lambda value: _format_cell(value, precision))
 
 
 def render_csv(envelope: OutputEnvelope, precision: int) -> str:
-    """Header row plus data rows; headers match the JSON field names."""
-    table = _result_table(envelope)
+    """The ``rows`` table, else the results as one row, under a header row."""
+    results = envelope.results
+    table = results.get("rows")
+    if table is None:
+        table = Table(results, [tuple(results.values())])
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    header = list(table[0].keys())
-    writer.writerow(header)
-    for row in table:
-        writer.writerow([_format_cell(row[key], precision) for key in header])
+    writer.writerow(table.fields)
+    writer.writerows(_delimited_texts(table, precision))
     return buffer.getvalue()
 
 
@@ -327,14 +323,12 @@ def render_text(envelope: OutputEnvelope, precision: int) -> str:
 
     _section("inputs", envelope.inputs)
     _section("results", envelope.results)
-    rows = envelope.results.get("rows")
-    if rows:
-        header = list(rows[0].keys())
+    table = envelope.results.get("rows")
+    if table:
         lines.append("rows:")
-        lines.append("  " + ",".join(header))
-        for row in rows:
-            lines.append("  " + ",".join(_format_cell(row[key], precision)
-                                         for key in header))
+        lines.append("  " + ",".join(table.fields))
+        lines.extend("  " + ",".join(texts)
+                     for texts in _delimited_texts(table, precision))
     _section("metadata", envelope.metadata)
     return "\n".join(lines) + "\n"
 

@@ -438,7 +438,7 @@ class TestSweepCommand:
             inputs, results = _HANDLERS["sweep"](
                 args, resolve_config(units=args.units))
         return (inputs["min_value"], inputs["max_value"],
-                [row["gap_value"] for row in results["rows"]])
+                [gap_value for gap_value, _ in results["rows"]])
 
     @pytest.mark.parametrize("argv", [
         ["--min", "10nm", "--max", "100um", "--count", "10000"],

@@ -234,17 +234,16 @@ class TestEnergyPerArea:
             energy_per_area_series(natural_gap(1.0), 0)
 
     def test_result_invariants_enforced(self):
-        gap = natural_gap(1.0)
         with pytest.raises(DomainError):
-            EnergyDensityResult(gap=gap, series_value=0.014, closed_form_value=0.0137,
+            EnergyDensityResult(series_value=0.014, closed_form_value=0.0137,
                                 terms_used=10, truncation_bound=1e-3,
                                 sign_convention=SignConvention.MAGNITUDE)
         with pytest.raises(DomainError):
-            EnergyDensityResult(gap=gap, series_value=-0.0137, closed_form_value=-0.0137,
+            EnergyDensityResult(series_value=-0.0137, closed_form_value=-0.0137,
                                 terms_used=10, truncation_bound=1e-3,
                                 sign_convention=SignConvention.MAGNITUDE)
         with pytest.raises(DomainError):
-            EnergyDensityResult(gap=gap, series_value=0.012, closed_form_value=0.0137,
+            EnergyDensityResult(series_value=0.012, closed_form_value=0.0137,
                                 terms_used=10, truncation_bound=1e-6,
                                 sign_convention=SignConvention.MAGNITUDE)
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from enum import Enum, IntEnum
@@ -12,7 +14,9 @@ from casimir_kit.output import (
     OutputEnvelope,
     OutputFormat,
     RunConfig,
+    Table,
     UnitSystem,
+    _format_cell,
     format_significant,
     load_config_file,
     make_metadata,
@@ -103,7 +107,7 @@ class TestEnvelope:
         return OutputEnvelope(
             command="paradox",
             inputs={"Li": "1um", "Li_value": 1e-6, "L_o": "infinity", "Pi": None},
-            results={"P_o": 0.0, "rows": [{"n": 1, "value": 2.5}]},
+            results={"P_o": 0.0, "rows": Table(("n", "value"), [(1, 2.5)])},
             metadata=make_metadata("codata", "attractive_negative"),
         )
 
@@ -213,12 +217,24 @@ def _row_tables(draw):
 
 
 @st.composite
+def _tables(draw, kinds):
+    """``Table``s of unique awkward fields, each column of a kind from ``kinds``."""
+    fields = draw(st.lists(_KEYS, min_size=1, max_size=4, unique=True))
+    count = draw(st.integers(min_value=0, max_value=6))
+    columns = [draw(st.lists(draw(kinds), min_size=count, max_size=count))
+               for _ in fields]
+    return Table(fields, zip(*columns))
+
+
+@st.composite
 def _envelopes(draw):
     results = draw(st.dictionaries(_KEYS, _VALUES, max_size=4))
     if draw(st.booleans()):
-        results["rows"] = draw(_row_tables())
-    if draw(st.booleans()):  # row tables nested one and two levels deeper
-        results["tables"] = [draw(_row_tables()), [], {}, [draw(_row_tables())]]
+        results["rows"] = draw(st.one_of(_tables(_COLUMN_KINDS), _row_tables()))
+    if draw(st.booleans()):  # tables nested one and two levels deeper
+        results["tables"] = [draw(_row_tables()), [], {}, [draw(_row_tables())],
+                             draw(_tables(_COLUMN_KINDS)),
+                             [draw(_tables(_COLUMN_KINDS))]]
     return OutputEnvelope(
         command=draw(_KEYS),
         inputs=draw(st.dictionaries(_KEYS, _VALUES, max_size=4)),
@@ -235,14 +251,58 @@ class TestJsonEmitter:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_float_raises(self, value):
-        for results in ({"x": value}, {"rows": [{"x": 1.0}, {"x": value}]}):
+        for results in ({"x": value}, {"rows": [{"x": 1.0}, {"x": value}]},
+                        {"rows": Table(("x",), [(1.0,), (value,)])}):
             envelope = OutputEnvelope(command="x", inputs={}, results=results)
             with pytest.raises(ValueError, match="not JSON compliant"):
                 envelope.to_json()
 
+    def test_table_without_fields_rejected(self):
+        # Rows of no cells would vanish from every format.
+        with pytest.raises(ValueError, match="at least one field"):
+            Table((), [()])
+
     def test_non_str_keys_rejected(self):
         with pytest.raises(TypeError):
             OutputEnvelope(command="x", inputs={1: 2}, results={}).to_json()
+
+
+# Columns for CSV and text: the JSON scalars plus nan/inf and delimiter
+# texts, mixed per cell, or columns of one kind for the one-pass paths.
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_DELIMITED_KINDS = st.sampled_from([
+    st.one_of(_SCALARS, _NON_FINITE, st.sampled_from([",", '"', 'a,"b"', "\n"])),
+    _FLOATS,
+    st.one_of(_FLOATS, _NON_FINITE),
+    _INTS,
+    st.one_of(st.booleans(), st.integers()),
+])
+
+
+class TestDelimitedTables:
+    """CSV and text rows match formatting each cell with ``_format_cell``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_tables(_DELIMITED_KINDS), st.integers(min_value=4, max_value=17))
+    def test_match_cell_by_cell_oracle(self, table, precision):
+        cells = [[_format_cell(value, precision) for value in row] for row in table]
+        envelope = OutputEnvelope(command="x", inputs={}, results={"rows": table})
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(table.fields)
+        writer.writerows(cells)
+        assert render_csv(envelope, precision) == buffer.getvalue()
+        rows = ["rows:", "  " + ",".join(table.fields),
+                *("  " + ",".join(row) for row in cells)] if table else []
+        assert render_text(envelope, precision) == "\n".join(
+            ["command: x", "inputs:", "results:", *rows, "metadata:"]) + "\n"
+
+    def test_enum_cell_with_int_value(self):
+        envelope = OutputEnvelope(command="x", inputs={}, results={
+            "rows": Table(("level", "scale"), [(_Level.HIGH, _Scale.MILLI)])})
+        assert render_text(envelope, 6).endswith("rows:\n  level,scale\n  2,0.001\n"
+                                                 "metadata:\n")
+        assert render_csv(envelope, 6) == "level,scale\n2,0.001\n"
 
 
 def test_version_has_one_source():

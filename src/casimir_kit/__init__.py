@@ -48,7 +48,6 @@ from .series import (
     euler_maclaurin_sum,
     exponential_cutoff_finite_part,
     partial_sum_inverse_powers,
-    richardson_extrapolate,
     tail_bound,
     zeta_even_closed_form,
 )

@@ -196,16 +196,14 @@ def cmd_sweep(args, config: RunConfig) -> tuple[dict, dict]:
     # Grid points lie in [lo, hi] up to rounding, so only the endpoints warn.
     core.PlateGap(lo, constants)
     core.PlateGap(hi, constants)
+    quantity = (core.force_per_area if args.quantity == "force"
+                else core.energy_per_area_closed)
     rows = Table(("gap_value", "value"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ImplausibleGapWarning)
         for gap_value in grid:
-            gap = core.PlateGap(gap_value, constants)
-            if args.quantity == "force":
-                value = core.force_per_area(gap)
-            else:
-                value = core.energy_per_area_closed(gap, sign)
-            rows.append((gap_value, value))
+            rows.append((gap_value,
+                         quantity(core.PlateGap(gap_value, constants), sign)))
     return {
         "quantity": args.quantity,
         "min": args.min,
@@ -254,7 +252,8 @@ _COMMANDS = {
     "converge": (cmd_converge, "series value and bound at several truncations", (
         _GAP,
         ("--Ns", {"required": True,
-                  "help": "comma-separated increasing truncations"}),
+                  "help": "comma-separated increasing truncations "
+                          f"(summing to at most {series.MAX_TERMS})"}),
         _SIGN,
     )),
     "zeta": (cmd_zeta, "even zeta value: closed form, partial sum, bracket", (
@@ -263,7 +262,8 @@ _COMMANDS = {
     )),
     "cutoff": (cmd_cutoff, "finite part of 1+2+3+... by exponential cutoff", (
         ("--epsilons", {"default": "0.2,0.1,0.05,0.025",
-                        "help": "comma-separated decreasing cutoffs "
+                        "help": "comma-separated decreasing cutoffs, at most "
+                                f"{series.MAX_CUTOFF_POINTS} "
                                 "(default %(default)s)"}),
     )),
     "paradox": (cmd_paradox, "inside/outside pressure scenarios", (

@@ -29,6 +29,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import DomainError, ImplausibleGapWarning
 from .series import (
+    MAX_TERMS,
     partial_sum_inverse_powers,
     positive_int,
     tail_bound,
@@ -237,15 +238,17 @@ def energy_per_area_closed(
     return _signed(magnitude, sign)
 
 
-def force_per_area(gap: PlateGap) -> float:
-    """Attractive pressure between the plates, ``-hbar c pi^2 / (240 a^4)``.
+def force_per_area(gap: PlateGap,
+                   sign: SignConvention = _ATTRACTIVE_NEGATIVE) -> float:
+    """Pressure between the plates, ``hbar c pi^2 / (240 a^4)``, signed.
 
-    This is the inside-minus-outside pressure difference; it equals
-    ``-3 |E/A| / a``, the (negative of the) gap derivative of the
-    closed-form energy per area.
+    Under the default convention this is the attractive inside-minus-outside
+    pressure difference; it equals ``-3 |E/A| / a``, the (negative of the)
+    gap derivative of the closed-form energy per area.
     """
-    return -(gap.constants.hbar * gap.constants.c * math.pi ** 2
-             / (240.0 * gap.a ** 4))
+    magnitude = (gap.constants.hbar * gap.constants.c * math.pi ** 2
+                 / (240.0 * gap.a ** 4))
+    return _signed(magnitude, sign)
 
 
 class ConvergenceRow(NamedTuple):
@@ -260,19 +263,18 @@ def convergence_report(
         Ns: Sequence[int],
         sign: SignConvention = SignConvention.ATTRACTIVE_NEGATIVE,
 ) -> tuple[ConvergenceRow, ...]:
-    """Series value and truncation bound at each requested truncation point."""
-    Ns = list(Ns)
+    """Series value and truncation bound at each requested truncation point.
+
+    The truncations must sum to at most ``MAX_TERMS``, checked before any sum.
+    """
+    Ns = [positive_int(N, "term count") for N in Ns]
     if not Ns:
         raise DomainError("convergence report requires at least one N")
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise DomainError("truncation points must be strictly increasing")
-    rows = []
-    for N in Ns:
-        result = energy_per_area_series(gap, N, sign)
-        rows.append(ConvergenceRow(
-            N=int(N),
-            series_value=result.series_value,
-            truncation_bound=result.truncation_bound,
-            closed_form_value=result.closed_form_value,
-        ))
-    return tuple(rows)
+    if sum(Ns) > MAX_TERMS:
+        raise DomainError(f"truncation points must sum to at most {MAX_TERMS}")
+    results = [energy_per_area_series(gap, N, sign) for N in Ns]
+    return tuple(ConvergenceRow(N, result.series_value, result.truncation_bound,
+                                result.closed_form_value)
+                 for N, result in zip(Ns, results))

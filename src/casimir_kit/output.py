@@ -122,7 +122,7 @@ def resolve_config(
         elif key in file_values:
             try:
                 kwargs[name] = cast(file_values[key])
-            except (ValueError, KeyError) as exc:
+            except ValueError as exc:
                 raise ParseError(
                     f"bad config value for '{key}': {file_values[key]!r}") from exc
     return RunConfig(**kwargs)

@@ -27,21 +27,28 @@ HBAR_SI = 1.054571817e-34  # J s
 C_SI = 299792458.0  # m / s
 
 
+_CONSTANTS = {  # spelling -> (hbar, c, source)
+    "si": (HBAR_SI, C_SI, "codata"),
+    "natural": (1.0, 1.0, "natural"),
+}
+
+
 class UnitSystem(Enum):
     """The two unit systems, each carrying its own hbar, c and source tag.
 
     The values are hard-coded, never fetched, so identical runs produce
     identical numbers.  ``hbar``, ``c`` and ``source`` are plain read-only
-    attributes, and no other constant set can be built.
-    ``UnitSystem("si")`` and ``UnitSystem("natural")`` look a member up by
-    its CLI and config spelling; ``source`` is the ``constants_source`` every
-    output reports.
+    attributes, and no other constant set can be built.  A member's value is
+    its CLI and config spelling, so ``UnitSystem("si")`` and
+    ``UnitSystem("natural")`` look it up; ``source`` is the
+    ``constants_source`` every output reports.
     """
 
-    SI = (HBAR_SI, C_SI, "codata")
-    NATURAL = (1.0, 1.0, "natural")
+    SI = "si"
+    NATURAL = "natural"
 
-    def __init__(self, hbar: float, c: float, source: str) -> None:
+    def __init__(self, spelling: str) -> None:
+        hbar, c, source = _CONSTANTS[spelling]
         # One attribute at a time: filling vars(self) wholesale would make
         # every later read take the slower dictionary path.
         object.__setattr__(self, "hbar", hbar)
@@ -52,10 +59,6 @@ class UnitSystem(Enum):
         if name in ("hbar", "c", "source"):
             raise AttributeError(f"{self.name}.{name} is read-only")
         super().__setattr__(name, value)
-
-    @classmethod
-    def _missing_(cls, value):
-        return cls[value.upper()] if value in ("si", "natural") else None
 
 
 def codata_constants() -> UnitSystem:

@@ -9,10 +9,12 @@ import mpmath
 import numpy as np
 import pytest
 
+from casimir_kit import core
 from casimir_kit.cli import _HANDLERS, _build_envelope, build_parser, main
 from casimir_kit.core import ModeState
 from casimir_kit.errors import ImplausibleGapWarning
 from casimir_kit.output import RunConfig, make_metadata, resolve_config
+from casimir_kit.series import MAX_CUTOFF_POINTS, MAX_TERMS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -256,6 +258,23 @@ class TestConvergeCommand:
         code, _, err = run_cli(["converge", "--gap", "1um", "--Ns", "10,5"], capsys)
         assert code == 2
 
+    def test_term_budget_at_cap_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(core, "MAX_TERMS", 1000)
+        payload = run_json(["converge", "--gap", "1um", "--Ns", "10,990"], capsys)
+        assert [row["N"] for row in payload["results"]["rows"]] == [10, 990]
+
+    @pytest.mark.parametrize("cap, Ns", [
+        (1000, "10,991"),
+        (MAX_TERMS, f"1,{MAX_TERMS}"),
+        (MAX_TERMS, ",".join(str(10 ** k) for k in range(8))),
+    ])
+    def test_term_budget_past_cap_rejected(self, capsys, monkeypatch, cap, Ns):
+        monkeypatch.setattr(core, "MAX_TERMS", cap)
+        code, out, err = run_cli(["converge", "--gap", "1um", "--Ns", Ns], capsys)
+        assert code == 2
+        assert out == ""
+        assert "sum to at most" in err
+
 
 class TestZetaCommand:
     def test_four(self, capsys):
@@ -302,6 +321,23 @@ class TestCutoffCommand:
         assert code == 2
         assert out == ""
         assert "underflows" in err
+
+    @staticmethod
+    def _grid(points):
+        return ",".join(repr(0.5 * 0.02 ** (i / (points - 1)))
+                        for i in range(points))
+
+    def test_grid_at_cap_accepted(self, capsys):
+        payload = run_json(["cutoff", "--epsilons",
+                            self._grid(MAX_CUTOFF_POINTS)], capsys)
+        assert payload["results"]["terms_used"] == MAX_CUTOFF_POINTS
+
+    def test_grid_past_cap_rejected(self, capsys):
+        code, out, err = run_cli(["cutoff", "--epsilons",
+                                  self._grid(MAX_CUTOFF_POINTS + 1)], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"at most {MAX_CUTOFF_POINTS}" in err
 
 
 class TestParadoxCommand:
@@ -402,6 +438,21 @@ class TestSweepCommand:
         force = run_json(["force", "--gap", "1um"], capsys)
         assert sweep["results"]["rows"][0]["value"] == \
             force["results"]["force_per_area"]
+
+    @pytest.mark.parametrize("units, lo, hi", [("si", "0.1um", "10um"),
+                                               ("natural", "0.5", "20")])
+    @pytest.mark.parametrize("quantity", ["energy", "force"])
+    def test_sign_applies_to_both_quantities(self, capsys, units, lo, hi,
+                                             quantity):
+        values = {}
+        for sign in ("magnitude", "negative"):
+            payload = run_json(["sweep", "--quantity", quantity, "--min", lo,
+                                "--max", hi, "--count", "5", "--units", units,
+                                "--sign", sign], capsys)
+            values[sign] = [row["value"] for row in payload["results"]["rows"]]
+        assert all(value >= 0.0 for value in values["magnitude"])
+        assert all(value <= 0.0 for value in values["negative"])
+        assert values["negative"] == [-value for value in values["magnitude"]]
 
     def test_reversed_range_rejected(self, capsys):
         code, _, err = run_cli(["sweep", "--quantity", "force", "--min", "10um",

@@ -6,7 +6,9 @@ from all of float64 (subnormals, +-0, +-inf, nan, 1e308), as huge integers
 written out, and as plausible values so that the success path is reached
 too.  Sizes (--N, --n-max, --count, --Ns) are drawn at most 1e3, or past
 every cap, so the suite stays fast; the cap and cap + 1 tests of each size
-cover the limits themselves.
+cover the limits themselves.  Lists go past their caps too: --Ns ladders
+whose truncations sum past ``MAX_TERMS`` and --epsilons grids longer than
+``MAX_CUTOFF_POINTS``, both refused before any value is computed.
 """
 
 import contextlib
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from casimir_kit.cli import main
+from casimir_kit.series import MAX_CUTOFF_POINTS, MAX_TERMS
 
 _HUGE_INTEGERS = st.integers(min_value=-10 ** 400, max_value=10 ** 400)
 _FLOAT_TEXT = st.one_of(
@@ -46,12 +49,18 @@ def _lists(items):
 
 _SIZES = st.one_of(st.integers(1, 1000), st.integers(-2, 0),
                    st.integers(10 ** 7 + 1, 10 ** 400), _FLOAT_TEXT).map(str)
-_TRUNCATIONS = st.one_of(  # --Ns: increasing, or anything
+_TRUNCATIONS = st.one_of(  # --Ns: increasing, past the term budget, or anything
     st.lists(st.integers(1, 1000), min_size=1, max_size=4, unique=True)
     .map(lambda Ns: ",".join(map(str, sorted(Ns)))),
+    st.lists(st.integers(MAX_TERMS // 2 + 1, 10 ** 400), min_size=2,
+             max_size=40, unique=True)
+    .map(lambda Ns: ",".join(map(str, sorted(Ns)))),
     _lists(_SIZES))
-_EPSILONS = st.one_of(  # --epsilons: decreasing, or anything
+_EPSILONS = st.one_of(  # --epsilons: decreasing, past the cap, or anything
     st.lists(_magnitudes(-323, -0.3), min_size=1, max_size=4, unique=True)
+    .map(lambda grid: ",".join(map(repr, sorted(grid, reverse=True)))),
+    st.lists(_magnitudes(-323, -0.3), min_size=MAX_CUTOFF_POINTS + 1,
+             max_size=MAX_CUTOFF_POINTS + 8, unique=True)
     .map(lambda grid: ",".join(map(repr, sorted(grid, reverse=True)))),
     _lists(_FLOAT_TEXT))
 # Gaps of every scale around each unit system's range, or any number with

@@ -4,6 +4,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from casimir_kit import core
 from casimir_kit.core import (
     DEFAULT_SERIES_TERMS,
     MAX_ROWS,
@@ -271,6 +272,13 @@ class TestForcePerArea:
         scaled = force_per_area(natural_gap(scale))
         assert scaled / base == pytest.approx(scale ** -4, rel=1e-12)
 
+    @pytest.mark.parametrize("gap", [si_gap(), natural_gap(2.5)])
+    def test_sign_conventions_share_magnitude(self, gap):
+        magnitude = force_per_area(gap, SignConvention.MAGNITUDE)
+        assert magnitude > 0.0
+        assert force_per_area(gap) == -magnitude
+        assert force_per_area(gap, SignConvention.ATTRACTIVE_NEGATIVE) == -magnitude
+
     def test_matches_energy_derivative(self):
         # Central finite difference of the closed-form energy per area;
         # force = -dE/da with the attractive sign convention.
@@ -308,6 +316,27 @@ class TestConvergenceReport:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             convergence_report(si_gap(), [])
+
+    def test_term_budget_at_cap_accepted(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_TERMS", 1000)
+        rows = convergence_report(si_gap(), [10, 990])
+        assert [row.N for row in rows] == [10, 990]
+
+    @pytest.mark.parametrize("cap, Ns", [
+        (1000, [10, 991]),
+        (MAX_TERMS, [1, MAX_TERMS]),
+        (MAX_TERMS, [10 ** k for k in range(8)]),  # a decade ladder to 1e7
+    ])
+    def test_term_budget_past_cap_rejected_before_any_sum(self, monkeypatch,
+                                                          cap, Ns):
+        monkeypatch.setattr(core, "MAX_TERMS", cap)
+
+        def no_sum(*args):
+            raise AssertionError("a partial sum was taken")
+
+        monkeypatch.setattr(core, "energy_per_area_series", no_sum)
+        with pytest.raises(DomainError, match="sum to at most"):
+            convergence_report(si_gap(), Ns)
 
 
 class TestDivergentTermViews:

@@ -304,6 +304,15 @@ class TestDelimitedTables:
                                                  "metadata:\n")
         assert render_csv(envelope, 6) == "level,scale\n2,0.001\n"
 
+    def test_unit_system_cell_prints_its_spelling(self):
+        envelope = OutputEnvelope(command="x", inputs={}, results={
+            "rows": Table(("units",), [(UnitSystem.NATURAL,)])})
+        assert json.loads(envelope.to_json())["results"]["rows"] == [
+            {"units": "natural"}]
+        assert render_csv(envelope, 6) == "units\nnatural\n"
+        assert render_text(envelope, 6).endswith(
+            "rows:\n  units\n  natural\nmetadata:\n")
+
 
 def test_version_has_one_source():
     assert casimir_kit.__version__ == TOOL_VERSION

@@ -8,6 +8,7 @@ from scipy.special import zeta as scipy_zeta
 
 from casimir_kit.errors import DomainError, UnsupportedArgumentError
 from casimir_kit.series import (
+    MAX_CUTOFF_POINTS,
     MAX_TERMS,
     CutoffTrace,
     SeriesEstimate,
@@ -18,9 +19,9 @@ from casimir_kit.series import (
     exponential_cutoff_finite_part,
     partial_sum_inverse_powers,
     positive_int,
-    richardson_extrapolate,
     tail_bound,
     zeta_even_closed_form,
+    _neville,
 )
 
 DEFAULT_CUTOFF_GRID = [0.2, 0.1, 0.05, 0.025]
@@ -140,17 +141,12 @@ class TestPositiveInt:
     def test_numpy_integers_accepted_by_callers(self):
         assert partial_sum_inverse_powers(4, np.int64(2)) == 1.0625
         assert zeta_even_closed_form(np.int64(4)) == zeta_even_closed_form(4)
-        rows = [(0.2, 1.0), (0.1, 1.1)]
-        assert richardson_extrapolate(rows, np.int64(2)) == \
-            richardson_extrapolate(rows, 2)
 
     def test_bools_rejected_by_callers(self):
         with pytest.raises(DomainError, match="term count"):
             partial_sum_inverse_powers(4, True)
         with pytest.raises(UnsupportedArgumentError):
             zeta_even_closed_form(True)
-        with pytest.raises(DomainError, match="error power"):
-            richardson_extrapolate([(0.2, 1.0), (0.1, 1.1)], True)
 
 
 class TestTailBound:
@@ -258,31 +254,59 @@ class TestEulerMaclaurin:
 
 
 class TestRichardson:
+    """Richardson extrapolation by the private one-pass Neville scheme."""
+
     def test_exact_on_pure_square_error(self):
         limit = 0.7
-        rows = [(h, limit + 3.3 * h * h) for h in (0.2, 0.1)]
-        assert richardson_extrapolate(rows, 2) == pytest.approx(limit, rel=1e-14)
+        hs = (0.2, 0.1)
+        estimate, _, _ = _neville([h * h for h in hs],
+                                  [limit + 3.3 * h * h for h in hs])
+        assert estimate == pytest.approx(limit, rel=1e-14)
 
     def test_exact_on_pure_cubic_error_many_rows(self):
         limit = -2.5
-        rows = [(h, limit + 0.8 * h ** 3) for h in (0.4, 0.2, 0.1, 0.05, 0.02)]
-        assert richardson_extrapolate(rows, 3) == pytest.approx(limit, rel=1e-14)
+        hs = (0.4, 0.2, 0.1, 0.05, 0.02)
+        estimate, _, _ = _neville([h ** 3 for h in hs],
+                                  [limit + 0.8 * h ** 3 for h in hs])
+        assert estimate == pytest.approx(limit, rel=1e-14)
+
+    @pytest.mark.parametrize("power", [2, 3])
+    @pytest.mark.parametrize("points", [2, 3, 4, 5])
+    def test_exact_on_polynomials_below_point_count(self, power, points):
+        # A polynomial in x = h^power of degree points - 1 is reproduced
+        # exactly, so its value at x = 0 is the constant term.
+        coefficients = (0.7, -1.3, 2.1, 0.4, -0.9)[:points]
+        xs = [h ** power for h in (0.4, 0.3, 0.2, 0.1, 0.05)[:points]]
+        values = [sum(c * x ** j for j, c in enumerate(coefficients)) for x in xs]
+        assert _neville(xs, values)[0] == pytest.approx(0.7, rel=1e-12)
 
     def test_cutoff_rows_reach_minus_one_twelfth(self):
-        rows = [(e, cutoff_regularized_value(e)) for e in DEFAULT_CUTOFF_GRID]
-        assert richardson_extrapolate(rows, 2) == pytest.approx(-1.0 / 12.0, abs=1e-5)
+        estimate, _, _ = _neville([e ** 2 for e in DEFAULT_CUTOFF_GRID],
+                                  [cutoff_regularized_value(e)
+                                   for e in DEFAULT_CUTOFF_GRID])
+        assert estimate == pytest.approx(-1.0 / 12.0, abs=1e-5)
 
-    def test_single_row_rejected(self):
-        with pytest.raises(DomainError):
-            richardson_extrapolate([(0.1, 1.0)], 2)
+    def test_two_points_leave_one_out_is_the_other_point(self):
+        assert _neville([0.04, 0.01], [1.0, 1.1]) == (
+            pytest.approx(1.1 + 0.1 / 3.0), 1.0, 1.1)
 
-    def test_nonmonotone_steps_rejected(self):
-        with pytest.raises(DomainError):
-            richardson_extrapolate([(0.1, 1.0), (0.2, 1.1)], 2)
-
-    def test_bad_power_rejected(self):
-        with pytest.raises(DomainError):
-            richardson_extrapolate([(0.2, 1.0), (0.1, 1.1)], 0)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_leave_one_out_matches_separate_passes(self, data):
+        # Steps k / 1000 are spaced widely enough that the scheme stays
+        # finite on values in [-1, 1].
+        ks = data.draw(st.lists(st.integers(1, 500), min_size=2, max_size=8,
+                                unique=True))
+        hs = [k / 1000.0 for k in sorted(ks, reverse=True)]
+        xs = [h ** 2 for h in hs]
+        values = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(hs),
+                                    max_size=len(hs)))
+        _, without_last, without_first = _neville(xs, values)
+        if len(xs) == 2:
+            assert (without_last, without_first) == (values[0], values[1])
+        else:
+            assert without_last == _neville(xs[:-1], values[:-1])[0]
+            assert without_first == _neville(xs[1:], values[1:])[0]
 
 
 class TestExponentialCutoff:
@@ -342,6 +366,24 @@ class TestExponentialCutoff:
     def test_bad_grids_rejected(self, grid):
         with pytest.raises(DomainError):
             exponential_cutoff_finite_part(grid)
+
+    @staticmethod
+    def _log_grid(points):
+        return [0.5 * 0.02 ** (i / (points - 1)) for i in range(points)]
+
+    def test_grid_at_cap_accepted(self):
+        trace, finite_part = exponential_cutoff_finite_part(
+            self._log_grid(MAX_CUTOFF_POINTS))
+        assert finite_part.terms_used == len(trace.rows) == MAX_CUTOFF_POINTS
+        assert finite_part.estimate == pytest.approx(-1.0 / 12.0, abs=1e-6)
+
+    def test_grid_past_cap_rejected_before_any_row(self):
+        grid = self._log_grid(MAX_CUTOFF_POINTS + 1)
+        with pytest.raises(DomainError, match=f"at most {MAX_CUTOFF_POINTS}"):
+            exponential_cutoff_finite_part(grid)
+        # An underflowing epsilon is not reached: the size comes first.
+        with pytest.raises(DomainError, match=f"at most {MAX_CUTOFF_POINTS}"):
+            exponential_cutoff_finite_part(grid[:-1] + [1e-300])
 
 
 class TestTraces:

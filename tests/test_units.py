@@ -69,7 +69,8 @@ class TestPhysicalConstants:
         assert UnitSystem("si") is UnitSystem.SI
         assert UnitSystem("natural") is UnitSystem.NATURAL
 
-    @pytest.mark.parametrize("text", ["SI", "Si", "NATURAL", "codata", ""])
+    @pytest.mark.parametrize("text", ["SI", "Si", "NATURAL", "codata", "",
+                                      (1.0, 1.0, "natural")])
     def test_other_spellings_rejected(self, text):
         with pytest.raises(ParseError):
             resolve_config({"units": text})

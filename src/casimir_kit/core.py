@@ -136,8 +136,12 @@ def traversal_time(gap: PlateGap) -> float:
 
 
 def mode_state(n: int, gap: PlateGap) -> ModeState:
-    """Populate every per-state quantity for mode index n >= 1."""
-    n = positive_int(n, "mode index")
+    """Populate every per-state quantity for mode index n in [1, ``MAX_ROWS``].
+
+    Over that range every field is finite and nonzero at any accepted gap;
+    any other n raises :class:`DomainError`.
+    """
+    n = positive_int(n, "mode index", upper=MAX_ROWS)
     a = gap.a
     hbar = gap.constants.hbar
     k_n = n * math.pi / a

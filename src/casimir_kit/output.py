@@ -19,8 +19,13 @@ directly for speed, because with ``indent`` set it always falls back to its
 pure-Python path.
 
 A table travels as a :class:`Table` of row tuples, and all three formats
-format it column by column (:func:`_cell_texts`); JSON writes each row as an
-object keyed by the table's fields.  Any other list is encoded item by item.
+print each row through one ``%``-template built once per table
+(:func:`_row_cells`); JSON writes each row as an object keyed by the table's
+fields.  When every column holds only finite floats or only ints, each row
+tuple fills its template in one ``%`` operation (``%r``, or ``%.{p-1}e`` in
+CSV and text, for floats; ``%d`` for ints).  Any other table is printed cell
+by cell, and its CSV rows go through :mod:`csv` for quoting.  Any other list
+is encoded item by item.
 """
 
 from __future__ import annotations
@@ -240,30 +245,39 @@ def _encode(obj, indent: str) -> str:
 def _table_rows(table: Table, indent: str):
     """Each row of ``table`` as a JSON object; ``indent`` is each row's own."""
     inner = indent + _INDENT
+    conversions, rows = _row_cells(table, "%r", lambda value: _encode(value, inner))
     template = "{\n" + ",\n".join(
-        inner + _key(key).replace("%", "%%") + ": %s" for key in table.fields
+        inner + _key(key).replace("%", "%%") + ": " + conversion
+        for key, conversion in zip(table.fields, conversions)
     ) + "\n" + indent + "}"
-    texts = _cell_texts(table, float.__repr__, lambda value: _encode(value, inner))
-    return map(template.__mod__, texts)
+    return map(template.__mod__, rows)
 
 
-def _cell_texts(table: Table, float_text, cell_text):
-    """Rows of ``table`` as tuples of texts, built one column at a time.
+def _row_cells(table: Table, float_conversion: str, cell_text):
+    """``(conversions, rows)``: a ``%`` conversion per field, and row tuples.
 
-    A column of finite floats takes one pass of ``float_text``, one of ints
-    one of ``int.__repr__``; any other goes through ``cell_text`` per cell.
+    A template made of the conversions, filled with one of the rows, prints
+    that row.  If every row is a tuple and every column holds only finite
+    floats or only ints, the conversions are ``float_conversion`` or ``%d``
+    and the rows are the table's own.  Otherwise every conversion is ``%s``
+    and each row is a tuple of ``cell_text`` of its cells.
     """
-    columns = []
-    for column in zip(*table, strict=True):
-        kinds = set(map(type, column))
-        # A sum of floats is finite only if every term is.
-        if kinds == {float} and math.isfinite(sum(column)):
-            columns.append(map(float_text, column))
-        elif kinds == {int}:
-            columns.append(map(int.__repr__, column))
+    if all(issubclass(kind, tuple) for kind in set(map(type, table))):
+        conversions = []
+        for column in zip(*table, strict=True):
+            kinds = set(map(type, column))
+            # A sum of floats is finite only if every term is.
+            if kinds == {float} and math.isfinite(sum(column)):
+                conversions.append(float_conversion)
+            elif kinds == {int}:
+                conversions.append("%d")
+            else:
+                break
         else:
-            columns.append(list(map(cell_text, column)))
-    return zip(*columns)
+            if len(conversions) == len(table.fields):
+                return conversions, table
+    return (["%s"] * len(table.fields),
+            [tuple(map(cell_text, row)) for row in table])
 
 
 def make_metadata(constants_source: str, sign_convention: str) -> dict:
@@ -292,10 +306,10 @@ def _format_cell(value, precision: int) -> str:
     return str(value)
 
 
-def _delimited_texts(table: Table, precision: int):
-    """Cell texts of ``table`` rows for CSV and text output."""
-    return _cell_texts(table, f"{{:.{precision - 1}e}}".format,
-                       lambda value: _format_cell(value, precision))
+def _delimited_cells(table: Table, precision: int):
+    """:func:`_row_cells` of ``table`` for CSV and text output."""
+    return _row_cells(table, f"%.{precision - 1}e",
+                      lambda value: _format_cell(value, precision))
 
 
 def render_csv(envelope: OutputEnvelope, precision: int) -> str:
@@ -307,7 +321,11 @@ def render_csv(envelope: OutputEnvelope, precision: int) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(table.fields)
-    writer.writerows(_delimited_texts(table, precision))
+    conversions, rows = _delimited_cells(table, precision)
+    if rows is table:  # numbers only: nothing to quote
+        buffer.writelines(map((",".join(conversions) + "\n").__mod__, rows))
+    else:
+        writer.writerows(rows)
     return buffer.getvalue()
 
 
@@ -327,8 +345,8 @@ def render_text(envelope: OutputEnvelope, precision: int) -> str:
     if table:
         lines.append("rows:")
         lines.append("  " + ",".join(table.fields))
-        lines.extend("  " + ",".join(texts)
-                     for texts in _delimited_texts(table, precision))
+        conversions, rows = _delimited_cells(table, precision)
+        lines.extend(map(("  " + ",".join(conversions)).__mod__, rows))
     _section("metadata", envelope.metadata)
     return "\n".join(lines) + "\n"
 

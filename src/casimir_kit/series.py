@@ -80,7 +80,7 @@ class SeriesEstimate:
 
     ``error_bound`` bounds (or, for cutoff extrapolation, estimates)
     ``|estimate - limit|``; ``terms_used`` counts the terms or grid points
-    the estimate rests on.
+    the estimate rests on.  Both floats must be finite, the bound nonnegative.
     """
 
     estimate: float
@@ -89,8 +89,11 @@ class SeriesEstimate:
     terms_used: int
 
     def __post_init__(self) -> None:
-        if not self.error_bound >= 0.0:
-            raise DomainError("error_bound must be nonnegative")
+        if not math.isfinite(self.estimate):
+            raise DomainError(f"estimate must be finite, got {self.estimate!r}")
+        if not 0.0 <= self.error_bound < math.inf:
+            raise DomainError(
+                f"error_bound must be finite and nonnegative, got {self.error_bound!r}")
         if self.terms_used < 1:
             raise DomainError("terms_used must be at least 1")
 
@@ -133,19 +136,21 @@ def _require_convergent_exponent(s: float) -> float:
     return s
 
 
-def positive_int(value, name: str, error: type[DomainError] = DomainError) -> int:
-    """``value`` as an int if it is a non-bool ``numbers.Integral`` >= 1."""
+def positive_int(value, name: str, error: type[DomainError] = DomainError,
+                 upper: float = math.inf) -> int:
+    """``value`` as an int if it is a non-bool ``numbers.Integral`` in [1, upper]."""
+    if type(value) is int and 1 <= value <= upper:  # skips the ABC check
+        return value
     if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
             or value < 1):
         raise error(f"{name} must be a positive integer, got {value!r}")
+    if value > upper:  # no value in the text: past 4300 digits str() raises
+        raise error(f"{name} must be at most {upper}")
     return int(value)
 
 
 def _require_term_count(N: int) -> int:
-    N = positive_int(N, "term count")
-    if N > MAX_TERMS:
-        raise DomainError(f"term count must be at most {MAX_TERMS}, got {N}")
-    return N
+    return positive_int(N, "term count", upper=MAX_TERMS)
 
 
 def partial_sum_inverse_powers(s: float, N: int) -> float:

@@ -13,7 +13,12 @@ from casimir_kit import core
 from casimir_kit.cli import _HANDLERS, _build_envelope, build_parser, main
 from casimir_kit.core import ModeState
 from casimir_kit.errors import ImplausibleGapWarning
-from casimir_kit.output import RunConfig, make_metadata, resolve_config
+from casimir_kit.output import (
+    RunConfig,
+    _format_cell,
+    make_metadata,
+    resolve_config,
+)
 from casimir_kit.series import MAX_CUTOFF_POINTS, MAX_TERMS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -670,6 +675,31 @@ class TestDeterminism:
         assert len(parsed["results"]["rows"]) == 10000
         assert _bit_equal(parsed, expected)
 
+    @pytest.mark.parametrize("output_format", ["csv", "text"])
+    @pytest.mark.parametrize("argv", [
+        ["modes", "--gap", "1um", "--n-max", "10000"],
+        ["sweep", "--quantity", "force", "--min", "10nm", "--max", "100um",
+         "--count", "10000"],
+        ["sweep", "--quantity", "energy", "--min", "10nm", "--max", "100um",
+         "--count", "10000", "--scale", "linear"],
+    ], ids=["modes", "sweep-log", "sweep-linear"])
+    def test_large_delimited_tables(self, argv, output_format, capsys):
+        # Numeric rows print through one template each; the oracle formats
+        # every cell on its own.
+        code, out, err = run_cli(argv + ["--format", output_format], capsys)
+        assert code == 0, err
+        _, results = _HANDLERS[argv[0]](build_parser().parse_args(argv),
+                                        RunConfig())
+        table = results["rows"]
+        assert len(table) == 10000
+        lines = [",".join(table.fields)] + [
+            ",".join(_format_cell(value, 10) for value in row) for row in table]
+        if output_format == "csv":
+            assert out == "".join(line + "\n" for line in lines)
+        else:
+            block = out.split("\nrows:\n")[1].split("metadata:\n")[0]
+            assert block == "".join("  " + line + "\n" for line in lines)
+
     def test_console_entry_point(self):
         # The module entry point must behave like the in-process call.
         # Run from src/ so that the source tree is importable without an
@@ -689,3 +719,41 @@ class TestDeterminism:
             capture_output=True, text=True, cwd=Path(__file__).parents[1] / "src")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+
+
+class TestBenchmarkContract:
+    """What the benchmark harness relies on: one library call per table row,
+    made through the ``core`` attribute, and each document rendered as one
+    ``str``."""
+
+    def test_one_library_call_per_row(self, capsys, monkeypatch):
+        calls = dict.fromkeys(
+            ["mode_state", "force_per_area", "energy_per_area_closed"], 0)
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(core, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(core, name, counted)
+        run_json(["modes", "--gap", "1um", "--n-max", "50"], capsys)
+        for quantity in ("force", "energy"):
+            run_json(["sweep", "--quantity", quantity, "--min", "10nm",
+                      "--max", "100um", "--count", "30"], capsys)
+        assert calls == {"mode_state": 50, "force_per_area": 30,
+                         "energy_per_area_closed": 30}
+
+    def test_render_returns_one_str(self, capsys, monkeypatch):
+        import casimir_kit.cli as cli_module
+        render = cli_module.render_envelope
+        rendered = []
+
+        def recorded(envelope, config):
+            rendered.append(render(envelope, config))
+            return rendered[-1]
+
+        monkeypatch.setattr(cli_module, "render_envelope", recorded)
+        for output_format in ("json", "csv", "text"):
+            code, out, err = run_cli(["modes", "--gap", "1um", "--n-max", "5",
+                                      "--format", output_format], capsys)
+            assert code == 0, err
+        assert [type(text) for text in rendered] == [str] * 3
+        assert rendered[-1] == out

@@ -135,6 +135,25 @@ class TestModeState:
         with pytest.raises(DomainError):
             mode_state(n, natural_gap(1.0))
 
+    @pytest.mark.parametrize("n", [MAX_ROWS + 1, 10 ** 80, 10 ** 400, 10 ** 5000],
+                             ids=["max_rows+1", "1e80", "1e400", "1e5000"])
+    def test_mode_index_above_max_rows_rejected(self, n):
+        # Unbounded, float(n) ** 4 overflows past n ~ 1e77 and int * float
+        # past 1e308; 10**5000 has too many digits for str().
+        with pytest.raises(DomainError, match="at most"):
+            mode_state(n, PlateGap(1e-6, CODATA))
+
+    @pytest.mark.parametrize("constants, ends", [
+        (CODATA, core._GAP_HARD_RANGE), (NATURAL, core._NATURAL_GAP_RANGE),
+    ], ids=["codata", "natural"])
+    def test_max_rows_finite_nonzero_at_range_ends(self, constants, ends):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ImplausibleGapWarning)
+            states = [mode_state(MAX_ROWS, PlateGap(a, constants)) for a in ends]
+        for state in states:
+            assert state.n == MAX_ROWS
+            assert all(math.isfinite(v) and v != 0.0 for v in state[1:])
+
     @given(st.integers(min_value=1, max_value=10 ** 6),
            st.floats(min_value=1e-9, max_value=1e-3))
     @settings(max_examples=300)

@@ -5,7 +5,7 @@ import math
 from enum import Enum, IntEnum
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import casimir_kit
 from casimir_kit.errors import DomainError, ParseError
@@ -202,6 +202,14 @@ _COLUMN_KINDS = st.sampled_from([
     _VALUES,
 ])
 
+# Tables of these kinds print every row through one %-template per table,
+# except that a column of two or more 1e308 sums to inf, which sends its
+# table down the per-cell path.
+_NUMERIC_KINDS = st.sampled_from([_FLOATS, _INTS, st.just(1e308)])
+# Pinned examples: -0.0 and 5e-324 next to an int column, and the 1e308 pair.
+_NUMERIC_TABLE = Table(("n", "x"), [(1, -0.0), (-2, 5e-324)])
+_OVERFLOWING_TABLE = Table(("x", "n"), [(1e308, 1), (1e308, 2)])
+
 
 @st.composite
 def _row_tables(draw):
@@ -230,7 +238,8 @@ def _tables(draw, kinds):
 def _envelopes(draw):
     results = draw(st.dictionaries(_KEYS, _VALUES, max_size=4))
     if draw(st.booleans()):
-        results["rows"] = draw(st.one_of(_tables(_COLUMN_KINDS), _row_tables()))
+        results["rows"] = draw(st.one_of(_tables(_COLUMN_KINDS), _row_tables(),
+                                         _tables(_NUMERIC_KINDS)))
     if draw(st.booleans()):  # tables nested one and two levels deeper
         results["tables"] = [draw(_row_tables()), [], {}, [draw(_row_tables())],
                              draw(_tables(_COLUMN_KINDS)),
@@ -246,6 +255,8 @@ def _envelopes(draw):
 class TestJsonEmitter:
     @settings(max_examples=200, deadline=None)
     @given(_envelopes())
+    @example(OutputEnvelope(command="x", inputs={}, results={
+        "rows": _NUMERIC_TABLE, "tables": [_OVERFLOWING_TABLE]}))
     def test_matches_stdlib_indent_2(self, envelope):
         assert envelope.to_json() == json.dumps(envelope.to_dict(), indent=2) + "\n"
 
@@ -283,7 +294,10 @@ class TestDelimitedTables:
     """CSV and text rows match formatting each cell with ``_format_cell``."""
 
     @settings(max_examples=200, deadline=None)
-    @given(_tables(_DELIMITED_KINDS), st.integers(min_value=4, max_value=17))
+    @given(st.one_of(_tables(_DELIMITED_KINDS), _tables(_NUMERIC_KINDS)),
+           st.integers(min_value=4, max_value=17))
+    @example(_NUMERIC_TABLE, 17)
+    @example(_OVERFLOWING_TABLE, 4)
     def test_match_cell_by_cell_oracle(self, table, precision):
         cells = [[_format_cell(value, precision) for value in row] for row in table]
         envelope = OutputEnvelope(command="x", inputs={}, results={"rows": table})
@@ -296,6 +310,17 @@ class TestDelimitedTables:
                 *("  " + ",".join(row) for row in cells)] if table else []
         assert render_text(envelope, precision) == "\n".join(
             ["command: x", "inputs:", "results:", *rows, "metadata:"]) + "\n"
+
+    @pytest.mark.parametrize("value, text", [
+        (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")])
+    def test_non_finite_floats_print_but_fail_json(self, value, text):
+        envelope = OutputEnvelope(command="x", inputs={}, results={
+            "rows": Table(("n", "x"), [(1, 1.0), (2, value)])})
+        assert render_csv(envelope, 4) == f"n,x\n1,1.000e+00\n2,{text}\n"
+        assert render_text(envelope, 4).endswith(
+            f"rows:\n  n,x\n  1,1.000e+00\n  2,{text}\nmetadata:\n")
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            envelope.to_json()
 
     def test_enum_cell_with_int_value(self):
         envelope = OutputEnvelope(command="x", inputs={}, results={

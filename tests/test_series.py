@@ -138,6 +138,12 @@ class TestPositiveInt:
         with pytest.raises(UnsupportedArgumentError):
             positive_int(value, "count", UnsupportedArgumentError)
 
+    @pytest.mark.parametrize("value", [5, np.int64(5)])
+    def test_upper_bound_inclusive(self, value):
+        assert positive_int(value, "count", upper=5) == 5
+        with pytest.raises(UnsupportedArgumentError, match="count must be at most 4"):
+            positive_int(value, "count", UnsupportedArgumentError, upper=4)
+
     def test_numpy_integers_accepted_by_callers(self):
         assert partial_sum_inverse_powers(4, np.int64(2)) == 1.0625
         assert zeta_even_closed_form(np.int64(4)) == zeta_even_closed_form(4)
@@ -251,6 +257,11 @@ class TestEulerMaclaurin:
     def test_divergent_exponent_rejected(self):
         with pytest.raises(DomainError):
             euler_maclaurin_sum(0.9, 10, 1)
+
+    def test_infinite_exponent_rejected(self):
+        # The B_4 correction is -inf after the B_2 one is +inf: a nan estimate.
+        with pytest.raises(DomainError, match="estimate must be finite"):
+            euler_maclaurin_sum(math.inf, 1, 2)
 
 
 class TestRichardson:
@@ -414,3 +425,7 @@ class TestSeriesEstimate:
             SeriesEstimate(1.0, -1e-3, SummationMethod.DIRECT, 5)
         with pytest.raises(DomainError):
             SeriesEstimate(1.0, math.nan, SummationMethod.EULER_MACLAURIN, 5)
+        for estimate, error_bound in [(math.nan, 0.0), (math.inf, 0.0),
+                                      (-math.inf, 1.0), (1.0, math.inf)]:
+            with pytest.raises(DomainError, match="finite"):
+                SeriesEstimate(estimate, error_bound, SummationMethod.DIRECT, 1)

@@ -7,35 +7,30 @@ format every float with exactly ``precision`` significant digits, with a
 environment-dependent is ever written, so identical invocations produce
 byte-identical output.
 
-JSON is written by a small emitter of its own whose output is byte-identical
-to ``json.dumps(envelope.to_dict(), indent=2) + "\n"``: floats through
-``float.__repr__``, ints through ``int.__repr__``, strings through the
-stdlib's ``encode_basestring_ascii`` and enums as their values; dict keys
-must be strings.  A nan or infinite float raises ``ValueError`` (as
-``allow_nan=False`` does), so stdout never carries ``NaN`` or ``Infinity``.
-It reads the envelope's fields in place rather than copying them through
-:meth:`OutputEnvelope.to_dict`.  The stdlib encoder cannot be used
-directly for speed, because with ``indent`` set it always falls back to its
-pure-Python path.
-
-A table travels as a :class:`Table` of row tuples, and all three formats
-print each row through one ``%``-template built once per table
-(:func:`_row_cells`); JSON writes each row as an object keyed by the table's
-fields.  When every column holds only finite floats or only ints, each row
-tuple fills its template in one ``%`` operation (``%r``, or ``%.{p-1}e`` in
-CSV and text, for floats; ``%d`` for ints).  Any other table is printed cell
-by cell, and its CSV rows go through :mod:`csv` for quoting.  Any other list
-is encoded item by item.
+JSON is ``json.dumps(<envelope as plain data>, indent=2) + "\\n"``, the plain
+data having enums as their values and each :class:`Table` as row objects
+keyed by its fields.  Dict keys must be strings, and a nan or infinite float
+raises ``ValueError``, so stdout never carries ``NaN`` or ``Infinity``.  The
+stdlib writes all but the numeric tables (tuple rows, each column only finite
+floats or only ints): each enters as a marker string, which is then replaced
+by its rows, each printed through one ``%``-template built once per table
+(``%r`` for floats, ``%d`` for ints).  Should a marker's text occur twice,
+every table goes through the stdlib.  CSV and text print numeric tables
+through the same templates, with ``%.{p-1}e`` for floats; any other table is
+printed cell by cell, and its CSV rows go through :mod:`csv` for quoting.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import os
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -80,11 +75,11 @@ class RunConfig:
     default_N: int = 1000
 
     def __post_init__(self) -> None:
+        # No values in the texts: past 4300 digits repr() raises ValueError.
         if not 4 <= self.precision <= 17:
-            raise DomainError(
-                f"precision must lie in [4, 17], got {self.precision!r}")
+            raise DomainError("precision must lie in [4, 17]")
         if self.default_N < 1:
-            raise DomainError(f"default_N must be at least 1, got {self.default_N!r}")
+            raise DomainError("default_N must be at least 1")
 
 
 _CONFIG_KEYS = ("units", "precision", "format", "default_n")
@@ -154,19 +149,8 @@ class Table(list):
         self.fields = tuple(fields)
         if not self.fields:
             raise ValueError("a table needs at least one field")
-
-
-def _jsonable(obj):
-    if isinstance(obj, Enum):
-        return obj.value
-    if isinstance(obj, Table):
-        return [{key: _jsonable(val) for key, val in zip(obj.fields, row)}
-                for row in obj]
-    if isinstance(obj, dict):
-        return {key: _jsonable(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(item) for item in obj]
-    return obj
+        if len(set(self.fields)) < len(self.fields):  # a JSON object keeps one
+            raise ValueError("table fields must be unique")
 
 
 @dataclass(frozen=True)
@@ -178,106 +162,88 @@ class OutputEnvelope:
     results: dict
     metadata: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": _jsonable(self.inputs),
-            "results": _jsonable(self.results),
-            "metadata": _jsonable(self.metadata),
-        }
-
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), indent=2) + "\\n"``, byte for byte."""
-        return _encode({
-            "command": self.command,
-            "inputs": self.inputs,
-            "results": self.results,
-            "metadata": self.metadata,
-        }, "") + "\n"
+        """``json.dumps(<envelope as plain data>, indent=2) + "\\n"``, byte for byte."""
+        envelope = {"command": self.command, "inputs": self.inputs,
+                    "results": self.results, "metadata": self.metadata}
+        tables = []
+        text = _dumps(_skeleton(envelope, tables))
+        markers = [_dumps(_MARKER % index) for index in range(len(tables))]
+        # A string of the envelope's own may hold a marker's JSON text.
+        if any(text.count(marker) != 1 for marker in markers):
+            return _dumps(_skeleton(envelope, None)) + "\n"
+        parts = []
+        start = 0
+        for marker, (table, conversions) in zip(markers, tables):
+            at = text.index(marker, start)
+            line = text[text.rfind("\n", 0, at) + 1:at]
+            indent = line[:len(line) - len(line.lstrip(" "))]
+            inner = indent + "  "
+            template = "{\n" + ",\n".join(
+                inner + "  " + encode_basestring_ascii(key).replace("%", "%%")
+                + ": " + conversion
+                for key, conversion in zip(table.fields, conversions)
+            ) + "\n" + inner + "}"
+            parts += text[start:at], "[\n", inner, template % table[0]
+            parts += map((",\n" + inner + template).__mod__, islice(table, 1, None))
+            parts.append("\n" + indent + "]")
+            start = at + len(marker)
+        parts += text[start:], "\n"
+        return "".join(parts)
 
 
-_INDENT = "  "
-
-
-def _key(key) -> str:
-    if not isinstance(key, str):
-        raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
-    return encode_basestring_ascii(key)
-
-
-def _encode(obj, indent: str) -> str:
-    """JSON text of ``obj`` as ``json.dumps(_jsonable(obj), indent=2)`` writes it.
-
-    ``indent`` is the indentation of the line on which ``obj`` starts.
-    """
+def _enum_value(obj):
     if isinstance(obj, Enum):
-        obj = obj.value
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"float {obj!r} is not JSON compliant")
-        return float.__repr__(obj)
-    inner = indent + _INDENT
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = (_table_rows(obj, inner) if isinstance(obj, Table)
-                 else [_encode(item, inner) for item in obj])
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        return "{\n" + ",\n".join(
-            inner + _key(key) + ": " + _encode(value, inner)
-            for key, value in obj.items()) + "\n" + indent + "}"
+        return obj.value
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _table_rows(table: Table, indent: str):
-    """Each row of ``table`` as a JSON object; ``indent`` is each row's own."""
-    inner = indent + _INDENT
-    conversions, rows = _row_cells(table, "%r", lambda value: _encode(value, inner))
-    template = "{\n" + ",\n".join(
-        inner + _key(key).replace("%", "%%") + ": " + conversion
-        for key, conversion in zip(table.fields, conversions)
-    ) + "\n" + indent + "}"
-    return map(template.__mod__, rows)
+_dumps = partial(json.dumps, indent=2, allow_nan=False, default=_enum_value)
+
+_MARKER = "\0casimir_kit.table.%d"
 
 
-def _row_cells(table: Table, float_conversion: str, cell_text):
-    """``(conversions, rows)``: a ``%`` conversion per field, and row tuples.
+def _skeleton(obj, tables):
+    """A copy of ``obj`` for :func:`json.dumps`, each ``Table`` as row dicts.
 
-    A template made of the conversions, filled with one of the rows, prints
-    that row.  If every row is a tuple and every column holds only finite
-    floats or only ints, the conversions are ``float_conversion`` or ``%d``
-    and the rows are the table's own.  Otherwise every conversion is ``%s``
-    and each row is a tuple of ``cell_text`` of its cells.
+    Unless ``tables`` is None, a numeric table (:func:`_numeric_conversions`)
+    is appended to it with its conversions, and copied as its ``_MARKER``.
     """
-    if all(issubclass(kind, tuple) for kind in set(map(type, table))):
-        conversions = []
-        for column in zip(*table, strict=True):
-            kinds = set(map(type, column))
-            # A sum of floats is finite only if every term is.
-            if kinds == {float} and math.isfinite(sum(column)):
-                conversions.append(float_conversion)
-            elif kinds == {int}:
-                conversions.append("%d")
-            else:
-                break
+    if isinstance(obj, Table):
+        conversions = None if tables is None else _numeric_conversions(obj, "%r")
+        if conversions is not None:
+            tables.append((obj, conversions))
+            return _MARKER % (len(tables) - 1)
+        obj = [dict(zip(obj.fields, row)) for row in obj]
+    if isinstance(obj, dict):
+        if not all(isinstance(key, str) for key in obj):  # json.dumps casts them
+            raise TypeError("JSON keys must be str")
+        return {key: _skeleton(value, tables) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_skeleton(item, tables) for item in obj]
+    return obj
+
+
+def _numeric_conversions(table: Table, float_conversion: str):
+    """A ``%`` conversion per field that prints a row of ``table``, or None.
+
+    They exist if every row is a tuple and every column holds only finite
+    floats (``float_conversion``) or only ints (``%d``); a template made of
+    them, filled with one row tuple, prints that row.
+    """
+    if not all(issubclass(kind, tuple) for kind in set(map(type, table))):
+        return None
+    conversions = []
+    for column in zip(*table, strict=True):
+        kinds = set(map(type, column))
+        # A sum of floats is finite only if every term is.
+        if kinds == {float} and math.isfinite(sum(column)):
+            conversions.append(float_conversion)
+        elif kinds == {int}:
+            conversions.append("%d")
         else:
-            if len(conversions) == len(table.fields):
-                return conversions, table
-    return (["%s"] * len(table.fields),
-            [tuple(map(cell_text, row)) for row in table])
+            return None
+    return conversions if len(conversions) == len(table.fields) else None
 
 
 def make_metadata(constants_source: str, sign_convention: str) -> dict:
@@ -307,9 +273,12 @@ def _format_cell(value, precision: int) -> str:
 
 
 def _delimited_cells(table: Table, precision: int):
-    """:func:`_row_cells` of ``table`` for CSV and text output."""
-    return _row_cells(table, f"%.{precision - 1}e",
-                      lambda value: _format_cell(value, precision))
+    """``(conversions, rows)``: numeric rows as they are, else each cell's text."""
+    conversions = _numeric_conversions(table, f"%.{precision - 1}e")
+    if conversions is not None:
+        return conversions, table
+    return (["%s"] * len(table.fields),
+            [tuple(_format_cell(value, precision) for value in row) for row in table])
 
 
 def render_csv(envelope: OutputEnvelope, precision: int) -> str:

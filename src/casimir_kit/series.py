@@ -143,8 +143,9 @@ def positive_int(value, name: str, error: type[DomainError] = DomainError,
         return value
     if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
             or value < 1):
-        raise error(f"{name} must be a positive integer, got {value!r}")
-    if value > upper:  # no value in the text: past 4300 digits str() raises
+        # No value in the texts: past 4300 digits repr() raises ValueError.
+        raise error(f"{name} must be a positive integer")
+    if value > upper:
         raise error(f"{name} must be at most {upper}")
     return int(value)
 

@@ -20,6 +20,7 @@ from casimir_kit.output import (
     resolve_config,
 )
 from casimir_kit.series import MAX_CUTOFF_POINTS, MAX_TERMS
+from json_oracle import envelope_data
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -671,7 +672,7 @@ class TestDeterminism:
         assert json.dumps(parsed, indent=2) + "\n" == out
         args = build_parser().parse_args(argv)
         inputs, results = _HANDLERS[argv[0]](args, RunConfig())
-        expected = _build_envelope(args, RunConfig(), inputs, results).to_dict()
+        expected = envelope_data(_build_envelope(args, RunConfig(), inputs, results))
         assert len(parsed["results"]["rows"]) == 10000
         assert _bit_equal(parsed, expected)
 

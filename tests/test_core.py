@@ -143,6 +143,10 @@ class TestModeState:
         with pytest.raises(DomainError, match="at most"):
             mode_state(n, PlateGap(1e-6, CODATA))
 
+    def test_huge_negative_mode_index_rejected(self):
+        with pytest.raises(DomainError, match="must be a positive integer"):
+            mode_state(-10 ** 5000, PlateGap(1e-6, CODATA))
+
     @pytest.mark.parametrize("constants, ends", [
         (CODATA, core._GAP_HARD_RANGE), (NATURAL, core._NATURAL_GAP_RANGE),
     ], ids=["codata", "natural"])

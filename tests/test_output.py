@@ -2,12 +2,14 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 from enum import Enum, IntEnum
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import casimir_kit
+from casimir_kit.cli import _HANDLERS, _build_envelope, build_parser
 from casimir_kit.errors import DomainError, ParseError
 from casimir_kit.output import (
     TOOL_VERSION,
@@ -16,6 +18,7 @@ from casimir_kit.output import (
     RunConfig,
     Table,
     UnitSystem,
+    _MARKER,
     _format_cell,
     format_significant,
     load_config_file,
@@ -26,6 +29,7 @@ from casimir_kit.output import (
     resolve_config,
 )
 from casimir_kit.paradox import ScenarioClassification
+from json_oracle import envelope_data, expected_json
 
 
 class TestRunConfig:
@@ -44,6 +48,13 @@ class TestRunConfig:
     def test_default_N_positive(self):
         with pytest.raises(DomainError):
             RunConfig(default_N=0)
+
+    @pytest.mark.parametrize("kwargs", [{"precision": 10 ** 5000},
+                                        {"default_N": -10 ** 5000}])
+    def test_huge_ints_rejected(self, kwargs):
+        # repr() of an int past 4300 digits raises ValueError.
+        with pytest.raises(DomainError):
+            RunConfig(**kwargs)
 
 
 class TestConfigFile:
@@ -114,7 +125,7 @@ class TestEnvelope:
     def test_json_round_trip(self):
         envelope = self._sample()
         parsed = json.loads(envelope.to_json())
-        assert parsed == envelope.to_dict()
+        assert parsed == envelope_data(envelope)
         assert json.dumps(parsed, indent=2) + "\n" == envelope.to_json()
 
     def test_unbounded_serializes_as_infinity_string(self):
@@ -209,6 +220,9 @@ _NUMERIC_KINDS = st.sampled_from([_FLOATS, _INTS, st.just(1e308)])
 # Pinned examples: -0.0 and 5e-324 next to an int column, and the 1e308 pair.
 _NUMERIC_TABLE = Table(("n", "x"), [(1, -0.0), (-2, 5e-324)])
 _OVERFLOWING_TABLE = Table(("x", "n"), [(1e308, 1), (1e308, 2)])
+# A numeric table two levels deep, an empty table, and containers in cells.
+_NESTED_TABLES = {"deep": [[_NUMERIC_TABLE]], "empty": Table(("n",)),
+                  "cells": Table(("d", "l"), [({"k": [1.5, {}]}, [None, _Level.HIGH])])}
 
 
 @st.composite
@@ -257,8 +271,18 @@ class TestJsonEmitter:
     @given(_envelopes())
     @example(OutputEnvelope(command="x", inputs={}, results={
         "rows": _NUMERIC_TABLE, "tables": [_OVERFLOWING_TABLE]}))
+    @example(OutputEnvelope(command="x", inputs={}, results=_NESTED_TABLES))
     def test_matches_stdlib_indent_2(self, envelope):
-        assert envelope.to_json() == json.dumps(envelope.to_dict(), indent=2) + "\n"
+        assert envelope.to_json() == expected_json(envelope)
+
+    @pytest.mark.parametrize("text", [_MARKER % 0, '"' + _MARKER % 0],
+                             ids=["marker", "quote-marker"])
+    def test_marker_text_in_envelope(self, text):
+        # Splicing at a string of the envelope's own would corrupt it.
+        envelope = OutputEnvelope(command="x", inputs={"s": text, text: [text]},
+                                  results={"rows": _NUMERIC_TABLE,
+                                           "more": [_OVERFLOWING_TABLE, _NUMERIC_TABLE]})
+        assert envelope.to_json() == expected_json(envelope)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_float_raises(self, value):
@@ -273,9 +297,27 @@ class TestJsonEmitter:
         with pytest.raises(ValueError, match="at least one field"):
             Table((), [()])
 
+    def test_duplicate_fields_rejected(self):
+        # JSON would keep one of the two cells, CSV and text both.
+        with pytest.raises(ValueError, match="unique"):
+            Table(("a", "b", "a"), [(1, 2, 3)])
+
     def test_non_str_keys_rejected(self):
         with pytest.raises(TypeError):
             OutputEnvelope(command="x", inputs={1: 2}, results={}).to_json()
+
+    @pytest.mark.parametrize("results", [
+        {"rows": Table(("a", "b"), [(1, {"k": {2: 3}})])},
+        {"rows": [{"a": 1}, {None: 3}]},
+        {"rows": Table((1,), [(1.0,)])},
+        {"rows": Table((1.5,), [("a",)])},
+        {"x": [{1, 2}]},
+        {"x": {"y": object()}},
+        {"rows": Table(("a",), [(b"bytes",)])},
+    ])
+    def test_refused_at_any_depth(self, results):
+        with pytest.raises(TypeError):
+            OutputEnvelope(command="x", inputs={}, results=results).to_json()
 
 
 # Columns for CSV and text: the JSON scalars plus nan/inf and delimiter
@@ -337,6 +379,26 @@ class TestDelimitedTables:
         assert render_csv(envelope, 6) == "units\nnatural\n"
         assert render_text(envelope, 6).endswith(
             "rows:\n  units\n  natural\nmetadata:\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["modes", "--gap", "1um", "--n-max", "10000"],
+    ["sweep", "--quantity", "force", "--min", "10nm", "--max", "100um",
+     "--count", "10000"],
+], ids=["modes", "sweep-log"])
+def test_json_render_peak_memory(argv):
+    # Byte-identity cannot see an extra copy of the document; the peak can.
+    # One row string per row plus the joined document read about 2.2-2.6x.
+    args = build_parser().parse_args(argv)
+    inputs, results = _HANDLERS[argv[0]](args, RunConfig())
+    envelope = _build_envelope(args, RunConfig(), inputs, results)
+    tracemalloc.start()
+    try:
+        text = render_envelope(envelope, RunConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * len(text)
 
 
 def test_version_has_one_source():

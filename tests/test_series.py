@@ -138,6 +138,15 @@ class TestPositiveInt:
         with pytest.raises(UnsupportedArgumentError):
             positive_int(value, "count", UnsupportedArgumentError)
 
+    def test_huge_negative_rejected(self):
+        # repr() of an int past 4300 digits raises ValueError.
+        with pytest.raises(DomainError, match="count must be a positive integer"):
+            positive_int(-10 ** 5000, "count")
+        with pytest.raises(DomainError, match="term count"):
+            partial_sum_inverse_powers(4, -10 ** 5000)
+        with pytest.raises(UnsupportedArgumentError):
+            zeta_even_closed_form(-10 ** 5000)
+
     @pytest.mark.parametrize("value", [5, np.int64(5)])
     def test_upper_bound_inclusive(self, value):
         assert positive_int(value, "count", upper=5) == 5
